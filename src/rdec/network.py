@@ -124,7 +124,9 @@ def backward(
 
     Returns gradients aligned with ``net.parameters()`` plus the gradient
     with respect to the input batch when requested. Skipping parameter
-    gradients (input-gradient probes) avoids the weight-gradient matmuls.
+    gradients (input-gradient probes) avoids the weight-gradient matmuls;
+    not requesting the input gradient skips the first layer's
+    input-gradient matmul.
     """
     grads: list[np.ndarray] | None = None
     if need_param_grads:
@@ -138,7 +140,9 @@ def backward(
             grad = relu_backward(grad, caches[pos])
         pos -= 1
         if need_param_grads:
-            grad, grad_w, grad_b = affine_backward(grad, caches[pos], layer.weight)
+            grad, grad_w, grad_b = affine_backward(
+                grad, caches[pos], layer.weight, need_input_grad=need_input_grad or i > 0
+            )
             grads[2 * i] = grad_w
             grads[2 * i + 1] = grad_b
         else:
@@ -151,9 +155,12 @@ def backward(
     return grads, (grad if need_input_grad else None)
 
 
-# Full-dataset passes are chunked to bound activation memory; a fixed
-# chunk size keeps results bit-identical from run to run.
-ENCODE_CHUNK = 8192
+# Full-dataset passes stream fixed row chunks so activation memory does
+# not grow with n, and a fixed size keeps results bit-identical from run
+# to run. 512 rows keep one chunk's activations (about 25 MB for the
+# canonical stack) reusable by the allocator; 8192-row blocks were
+# page-faulted in afresh on every pass.
+ENCODE_CHUNK = 512
 
 
 def encode(net: Network, x: Matrix) -> Matrix:
@@ -162,13 +169,10 @@ def encode(net: Network, x: Matrix) -> Matrix:
         raise ShapeMismatchError(
             f"encode: input {x.shape} does not match network input dim {net.input_dim}"
         )
-    if x.shape[0] <= ENCODE_CHUNK:
-        return forward(net, x)[0]
-    parts = [
-        forward(net, x[start : start + ENCODE_CHUNK])[0]
-        for start in range(0, x.shape[0], ENCODE_CHUNK)
-    ]
-    return np.vstack(parts)
+    out = np.empty((x.shape[0], net.output_dim))
+    for start in range(0, x.shape[0], ENCODE_CHUNK):
+        out[start : start + ENCODE_CHUNK] = forward(net, x[start : start + ENCODE_CHUNK])[0]
+    return out
 
 
 def _check_grads(params: list[np.ndarray], grads: list[np.ndarray]) -> None:

@@ -54,14 +54,20 @@ def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix,
         raise ShapeMismatchError(
             f"affine: bias {bias.shape} incompatible with weight {weight.shape}"
         )
-    out = x @ weight + bias
+    out = x @ weight
+    out += bias
     return out, LayerCache(input=x, pre_activation=out)
 
 
 def affine_backward(
-    grad_out: Matrix, cache: LayerCache, weight: Matrix
-) -> tuple[Matrix, Matrix, np.ndarray]:
-    """Gradients of the affine map: returns (grad_input, grad_weight, grad_bias)."""
+    grad_out: Matrix, cache: LayerCache, weight: Matrix, need_input_grad: bool = True
+) -> tuple[Matrix | None, Matrix, np.ndarray]:
+    """Gradients of the affine map: returns (grad_input, grad_weight, grad_bias).
+
+    With ``need_input_grad=False`` the input-gradient matmul is skipped and
+    ``grad_input`` is None; the first layer of a stack never needs it
+    unless the caller asked for the gradient with respect to the data.
+    """
     if grad_out.shape != cache.pre_activation.shape:
         raise ShapeMismatchError(
             f"affine backward: grad {grad_out.shape} vs output {cache.pre_activation.shape}"
@@ -71,7 +77,7 @@ def affine_backward(
             f"affine backward: grad {grad_out.shape}, input {cache.input.shape}, "
             f"weight {weight.shape}"
         )
-    grad_in = grad_out @ weight.T
+    grad_in = grad_out @ weight.T if need_input_grad else None
     grad_weight = cache.input.T @ grad_out
     grad_bias = grad_out.sum(axis=0)
     return grad_in, grad_weight, grad_bias
@@ -86,13 +92,16 @@ def relu_backward(grad_out: Matrix, cache: LayerCache) -> Matrix:
     """Pass gradients where the pre-activation was positive, zero elsewhere.
 
     The subgradient at exactly 0 is taken as 0, so a unit sitting on the
-    kink blocks the gradient deterministically.
+    kink blocks the gradient deterministically. The gradient is multiplied
+    by the mask, so a masked entry is zero but may be ``-0.0``, and a
+    non-finite upstream value in a masked lane propagates as NaN instead
+    of being hidden.
     """
     if grad_out.shape != cache.pre_activation.shape:
         raise ShapeMismatchError(
             f"relu backward: grad {grad_out.shape} vs input {cache.pre_activation.shape}"
         )
-    return np.where(cache.pre_activation > 0.0, grad_out, 0.0)
+    return grad_out * (cache.pre_activation > 0.0)
 
 
 def mse_loss(predicted: Matrix, target: Matrix) -> tuple[float, Matrix]:

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .dec import SoftAssignment, clustering_grads, kl_divergence, soft_assign, target_distribution
 from .kmeans import kmeans
-from .network import Adam, Network, SgdMomentum, backward, encode, forward
+from .network import ENCODE_CHUNK, Adam, Network, SgdMomentum, backward, encode, forward
 from .tensor import Matrix, check_finite, mse_loss
 from .vat import VatConfig, adversarial_perturbation, vat_loss
 
@@ -205,11 +205,10 @@ def _endless_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield from _epoch_batches(n, batch_size, rng)
 
 
-def _reconstruction_loss(encoder: Network, decoder: Network, data: Matrix,
-                         chunk: int = 8192) -> float:
+def _reconstruction_loss(encoder: Network, decoder: Network, data: Matrix) -> float:
     total = 0.0
-    for start in range(0, data.shape[0], chunk):
-        x = data[start : start + chunk]
+    for start in range(0, data.shape[0], ENCODE_CHUNK):
+        x = data[start : start + ENCODE_CHUNK]
         recon = encode(decoder, encode(encoder, x))
         total += float(np.sum((recon - x) ** 2))
     return total / data.size

@@ -13,7 +13,7 @@ from rdec.network import (
     load_model,
     save_model,
 )
-from rdec.tensor import ShapeMismatchError
+from rdec.tensor import ShapeMismatchError, affine_backward, affine_forward
 
 
 class TestBuildNetwork:
@@ -96,19 +96,44 @@ class TestEncode:
         np.testing.assert_array_equal(encode(net, x), encode(net, x))
 
     def test_chunked_matches_unchunked(self, rng):
-        # chunk boundary correctness: rows are independent
+        # chunk boundary correctness: rows are independent. With 16-row
+        # chunks: a ragged tail, no rows, and three chunks plus one row.
         from rdec import network as net_mod
 
         net = tiny_net(rng)
-        x = rng.standard_normal((50, 4))
-        whole = forward(net, x)[0]
         old = net_mod.ENCODE_CHUNK
         net_mod.ENCODE_CHUNK = 16
         try:
-            chunked = encode(net, x)
+            for n in (50, 0, 3 * 16 + 1):
+                x = rng.standard_normal((n, 4))
+                whole = forward(net, x)[0]
+                chunked = encode(net, x)
+                assert chunked.shape == (n, net.output_dim)
+                np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
         finally:
             net_mod.ENCODE_CHUNK = old
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+    def test_memory_bounded_by_one_chunk(self):
+        # Activations are built one chunk of at most 1024 rows at a time, so
+        # the peak is the output plus a few chunk-sized layer outputs, not n
+        # rows of every layer.
+        import tracemalloc
+
+        from rdec import network as net_mod
+
+        encoder, _ = build_network(64, 2, seed=0)
+        x = np.random.default_rng(0).random((8 * net_mod.ENCODE_CHUNK, 64))
+        # float64 bytes
+        chunk_activations = 8 * 1024 * sum(encoder.layer_dims[1:])
+        output = 8 * x.shape[0] * encoder.output_dim
+        tracemalloc.start()
+        try:
+            z = encode(encoder, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (x.shape[0], 2)
+        assert peak < output + 3 * chunk_activations
 
 
 class TestBackwardPlumbing:
@@ -133,6 +158,29 @@ class TestBackwardPlumbing:
                                   need_param_grads=False)
         assert grads is None
         np.testing.assert_allclose(gi_lean, gi_full, rtol=0, atol=1e-14)
+
+    def test_skipping_input_grad_keeps_param_grads(self, rng):
+        net = tiny_net(rng, dims=(4, 6, 5, 2))
+        x = rng.standard_normal((5, 4))
+        out, caches = forward(net, x)
+        seed_grad = rng.standard_normal(out.shape)
+        grads_full, gi = backward(net, caches, seed_grad, need_input_grad=True)
+        grads_lean, gi_none = backward(net, caches, seed_grad, need_input_grad=False)
+        assert gi.shape == x.shape and gi_none is None
+        for g_lean, g_full in zip(grads_lean, grads_full):
+            np.testing.assert_array_equal(g_lean, g_full)
+
+    def test_affine_backward_without_input_grad(self, rng):
+        x = rng.standard_normal((5, 4))
+        w = rng.standard_normal((4, 3))
+        _, cache = affine_forward(x, w, rng.standard_normal(3))
+        grad_out = rng.standard_normal((5, 3))
+        gi, gw, gb = affine_backward(grad_out, cache, w)
+        gi_none, gw_lean, gb_lean = affine_backward(grad_out, cache, w,
+                                                    need_input_grad=False)
+        assert gi.shape == x.shape and gi_none is None
+        np.testing.assert_array_equal(gw_lean, gw)
+        np.testing.assert_array_equal(gb_lean, gb)
 
 
 class TestOptimizers:
