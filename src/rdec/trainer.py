@@ -299,7 +299,8 @@ def finetune(
 
     for it in range(cfg.max_iter):
         if it % cfg.tau == 0:
-            q_full = model.predict(data)
+            # At iteration 0 the encoder has not moved since K-means embedded the data.
+            q_full = soft_assign(z, centroids, cfg.alpha).q if it == 0 else model.predict(data)
             assignments = q_full.argmax(axis=1)
             target_full = target_distribution(SoftAssignment(q_full, cfg.alpha), cfg.s)
             ckpt_loss = kl_divergence(target_full.p, q_full) / n

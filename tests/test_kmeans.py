@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rdec.kmeans import kmeans
+from rdec.kmeans import KMeansResult, kmeans
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -97,3 +97,115 @@ def test_assignment_ties_break_low_index():
     points = np.array([[0.0], [2.0], [1.0], [1.0]])
     result = kmeans(points, k=2, restarts=20, max_iter=1, seed=0)
     assert set(result.assignments.tolist()) <= {0, 1}
+
+
+def test_non_finite_points_rejected_before_any_restart():
+    points = np.zeros((20, 3))
+    points[2, 1] = np.nan
+    points[7, 0] = np.inf
+    points[9, 2] = -np.inf
+    with pytest.raises(ValueError, match="3 non-finite"):
+        kmeans(points, k=2)
+
+
+# Reference: a plain Lloyd step (argmin over (n, k) distances, masked mean
+# per cluster), kept verbatim from the implementation the vectorised one
+# replaced. The vectorised step must reproduce it bit for bit.
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # ||x - c||^2 expanded; clamp tiny negative round-off.
+    d = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+    return np.maximum(d, 0.0)
+
+
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+    n = points.shape[0]
+    centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    assignments = np.full(n, -1, dtype=np.int64)
+    history: list[float] = []
+    for _ in range(max_iter):
+        dists = _squared_distances(points, centroids)
+        new_assignments = np.argmin(dists, axis=1)  # ties go to the lower index
+        history.append(float(dists[np.arange(n), new_assignments].sum()))
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        taken = np.zeros(n, dtype=bool)
+        point_cost = dists[np.arange(n), assignments]
+        for j in range(k):
+            members = assignments == j
+            if members.any():
+                centroids[j] = points[members].mean(axis=0)
+            else:
+                # Reseed an empty cluster at the point currently farthest
+                # from its assigned centroid (each repair takes a fresh point).
+                cost = np.where(taken, -np.inf, point_cost)
+                far = int(np.argmax(cost))
+                centroids[j] = points[far]
+                taken[far] = True
+    dists = _squared_distances(points, centroids)
+    assignments = np.argmin(dists, axis=1)
+    inertia = float(dists[np.arange(n), assignments].sum())
+    return centroids, assignments, inertia, history
+
+
+def reference_kmeans(points, k, restarts, max_iter=300, seed=0):
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        result = KMeansResult(*_lloyd(points, k, rng, max_iter))
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best
+
+
+def _blobs(n, dim, k, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((k, dim)) * 4.0
+    return centers[rng.integers(0, k, n)] + rng.standard_normal((n, dim))
+
+
+def _normal(seed, shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+ORACLE_CASES = {
+    **{f"blobs-d{dim}-k{k}": (_blobs(300, dim, k, seed=dim * k), k, {})
+       for dim in (2, 10) for k in (2, 10)},
+    # integer grid points: many exact distance ties
+    "rounded-ties": (np.round(_normal(1, (200, 2)) * 2), 5, {}),
+    # 5 distinct points for 10 clusters: empty clusters are repaired every run
+    "repeated-points": (np.repeat(_normal(2, (5, 3)), 40, axis=0), 10, {}),
+    "k1": (_normal(3, (50, 3)), 1, {}),
+    "k-equals-n": (_normal(4, (12, 3)), 12, {}),
+    "max-iter-1": (_blobs(100, 4, 6, seed=5), 6, {"max_iter": 1}),
+    "pixels-784": (np.random.default_rng(6).random((200, 784)), 10, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_bit_identical_to_plain_lloyd(case):
+    points, k, kwargs = ORACLE_CASES[case]
+    got = kmeans(points, k, restarts=5, seed=3, **kwargs)
+    want = reference_kmeans(points, k, restarts=5, seed=3, **kwargs)
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.inertia == want.inertia
+    assert got.inertia_history == want.inertia_history
+
+
+def test_one_column_means_agree_to_round_off():
+    # With one column the plain mean sums pairwise and bincount sums in
+    # row order. Either sum of n terms is within n * eps * max|x| of the
+    # exact one, which bounds how far the means may differ.
+    points = _blobs(300, 1, 4, seed=7)
+    tol = len(points) * np.finfo(np.float64).eps
+    got = kmeans(points, 4, restarts=5, seed=3)
+    want = reference_kmeans(points, 4, restarts=5, seed=3)
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    np.testing.assert_allclose(got.centroids, want.centroids, rtol=0,
+                               atol=tol * np.abs(points).max())
+    assert got.inertia == pytest.approx(want.inertia, rel=tol)

@@ -1,9 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
+from rdec import trainer
+from rdec.dec import SoftAssignment, kl_divergence, target_distribution
 from rdec.metrics import accuracy
 from rdec.network import Layer, Network
 from rdec.trainer import (
+    ClusterModel,
     OptimizerSpec,
     TrainConfig,
     finetune,
@@ -229,6 +234,50 @@ class TestFinetune:
         parsed = json.loads(text)
         assert parsed["stop_reason"] in ("converged", "max_iterations")
         assert len(parsed["final_assignments"]) == 80
+
+
+    def test_first_refresh_reuses_the_kmeans_embedding(self, monkeypatch):
+        data, _ = two_gaussians(n=120, seed=11)
+        n = len(data)
+        cfg = fast_config(max_iter=8, tau=50, batch_size=12, seed=13)
+        start = small_encoder(8)
+
+        rows = []
+        real_encode, real_kmeans = trainer.encode, trainer.kmeans
+
+        def counting_encode(net, x):
+            rows.append(x.shape[0])
+            return real_encode(net, x)
+
+        runs = []
+
+        def recording_kmeans(*args, **kwargs):
+            runs.append(real_kmeans(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(trainer, "encode", counting_encode)
+        monkeypatch.setattr(trainer, "kmeans", recording_kmeans)
+        assignments, report = finetune(copy.deepcopy(start), data, 2, cfg)
+        monkeypatch.undo()
+        # one encode for K-means, one for the final predict; no refresh after 0
+        assert sum(rows) == 2 * n
+
+        # Replay the run with the first target computed through
+        # ClusterModel.predict on a fresh copy of the starting encoder.
+        model = ClusterModel(copy.deepcopy(start), runs[0].centroids.copy(), cfg.alpha)
+        q = model.predict(data)
+        target = target_distribution(SoftAssignment(q, cfg.alpha), cfg.s)
+        assert report.checkpoints[0].loss == kl_divergence(target.p, q) / n
+        params = model.parameters()
+        optimizer = cfg.finetune_optimizer.make()
+        # max_iter * batch_size <= n: every batch comes from the first epoch
+        perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
+        for it in range(cfg.max_iter):
+            idx = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
+            _, grads = model.kl_param_grads(data[idx], target.p[idx])
+            optimizer.step(params, grads)
+        np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
+        np.testing.assert_array_equal(report.final_centroids, model.centroids)
 
 
 class TestRunClustering:
