@@ -31,7 +31,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,23 +50,10 @@ from .data import (
 )
 from .network import build_network, encode, load_model, save_model
 from .trainer import METHODS, TrainConfig, pretrain, run_clustering
-from .vat import VatConfig
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit code 2."""
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -77,47 +64,48 @@ def _parse_str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip() != ""]
 
 
-# Every legal config key with its parser. Dotted prefixes group related
+# Every legal config key with its parser and, for training settings, the
+# dotted TrainConfig field it sets. Dotted prefixes group related
 # settings; values are plain text after the first '='.
 SCHEMA = {
-    "data.format": _parse_str,
-    "data.images": _parse_str_list,
-    "data.labels": _parse_str_list,
-    "data.path": _parse_str,
-    "data.label_column": _parse_str,
-    "data.classes": _parse_int_list,
-    "data.name": _parse_str,
-    "subsample.mode": _parse_str,
-    "subsample.r_min": _parse_float,
-    "subsample.target_class": _parse_int,
-    "subsample.counts": _parse_int_list,
-    "subsample.seed": _parse_int,
-    "method": _parse_str,
-    "k": _parse_int,
-    "latent_dim": _parse_int,
-    "seed": _parse_int,
-    "model": _parse_str,
-    "out": _parse_str,
-    "gamma": _parse_float,
-    "s": _parse_float,
-    "epsilon": _parse_float,
-    "xi": _parse_float,
-    "ip": _parse_int,
-    "tau": _parse_int,
-    "sigma": _parse_float,
-    "max_iter": _parse_int,
-    "batch_size": _parse_int,
-    "patience": _parse_int,
-    "pretrain.epochs": _parse_int,
-    "pretrain.optimizer": _parse_str,
-    "pretrain.lr": _parse_float,
-    "pretrain.momentum": _parse_float,
-    "pretrain.beta1": _parse_float,
-    "pretrain.beta2": _parse_float,
-    "finetune.optimizer": _parse_str,
-    "finetune.lr": _parse_float,
-    "finetune.momentum": _parse_float,
-    "kmeans.restarts": _parse_int,
+    "data.format": (str, None),
+    "data.images": (_parse_str_list, None),
+    "data.labels": (_parse_str_list, None),
+    "data.path": (str, None),
+    "data.label_column": (str, None),
+    "data.classes": (_parse_int_list, None),
+    "data.name": (str, None),
+    "subsample.mode": (str, None),
+    "subsample.r_min": (float, None),
+    "subsample.target_class": (int, None),
+    "subsample.counts": (_parse_int_list, None),
+    "subsample.seed": (int, None),
+    "method": (str, "method"),
+    "k": (int, None),
+    "latent_dim": (int, None),
+    "seed": (int, "seed"),
+    "model": (str, None),
+    "out": (str, None),
+    "gamma": (float, "gamma"),
+    "s": (float, "s"),
+    "epsilon": (float, "vat.epsilon"),
+    "xi": (float, "vat.xi"),
+    "ip": (int, "vat.ip"),
+    "tau": (int, "tau"),
+    "sigma": (float, "sigma"),
+    "max_iter": (int, "max_iter"),
+    "batch_size": (int, "batch_size"),
+    "patience": (int, "patience"),
+    "pretrain.epochs": (int, "pretrain_epochs"),
+    "pretrain.optimizer": (str, "pretrain_optimizer.kind"),
+    "pretrain.lr": (float, "pretrain_optimizer.lr"),
+    "pretrain.momentum": (float, "pretrain_optimizer.momentum"),
+    "pretrain.beta1": (float, "pretrain_optimizer.beta1"),
+    "pretrain.beta2": (float, "pretrain_optimizer.beta2"),
+    "finetune.optimizer": (str, "finetune_optimizer.kind"),
+    "finetune.lr": (float, "finetune_optimizer.lr"),
+    "finetune.momentum": (float, "finetune_optimizer.momentum"),
+    "kmeans.restarts": (int, "kmeans_restarts"),
 }
 
 
@@ -136,7 +124,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key in settings:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            settings[key] = SCHEMA[key](value)
+            settings[key] = SCHEMA[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
     return settings
@@ -158,45 +146,32 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.get("seed", 0)
+        return self.train_config().seed
 
     @property
     def method(self) -> str:
-        return self.get("method", "rdec")
+        return self.train_config().method
 
     def train_config(self) -> TrainConfig:
-        s = self.settings
-        cfg = TrainConfig(
-            method=self.method,
-            gamma=s.get("gamma", 5.0),
-            s=s.get("s", 2.0),
-            vat=VatConfig(
-                epsilon=s.get("epsilon", 1.0),
-                xi=s.get("xi", 10.0),
-                ip=s.get("ip", 1),
-            ),
-            tau=s.get("tau", 140),
-            sigma=s.get("sigma", 0.01),
-            max_iter=s.get("max_iter", 20_000),
-            batch_size=s.get("batch_size", 256),
-            pretrain_epochs=s.get("pretrain.epochs", 300),
-            kmeans_restarts=s.get("kmeans.restarts", 20),
-            patience=s.get("patience", 0),
-            seed=self.seed,
-        )
-        cfg.pretrain_optimizer.kind = s.get("pretrain.optimizer", "sgd_momentum")
-        cfg.pretrain_optimizer.lr = s.get("pretrain.lr", 1.0)
-        cfg.pretrain_optimizer.momentum = s.get("pretrain.momentum", 0.9)
-        cfg.pretrain_optimizer.beta1 = s.get("pretrain.beta1", 0.9)
-        cfg.pretrain_optimizer.beta2 = s.get("pretrain.beta2", 0.999)
-        cfg.finetune_optimizer.kind = s.get("finetune.optimizer", "sgd_momentum")
-        cfg.finetune_optimizer.lr = s.get("finetune.lr", 0.01)
-        cfg.finetune_optimizer.momentum = s.get("finetune.momentum", 0.9)
+        """TrainConfig defaults, overridden by the training keys present."""
+        cfg = TrainConfig()
         try:
+            for key, value in self.settings.items():
+                field_path = SCHEMA[key][1]
+                if field_path is not None:
+                    cfg = _replace_field(cfg, field_path, value)
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return cfg
+
+
+def _replace_field(obj, field_path: str, value):
+    """Copy of a dataclass with the dotted field ``field_path`` set to value."""
+    name, _, rest = field_path.partition(".")
+    if rest:
+        value = _replace_field(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -237,8 +212,8 @@ def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
     return paths
 
 
-def load_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Load, optionally class-filter, and optionally subsample the dataset."""
+def _load_filtered(cfg: ExperimentConfig) -> Dataset:
+    """Load the dataset files and keep the configured classes, if any."""
     fmt = cfg.require("data.format")
     name = cfg.get("data.name", "dataset")
     if fmt == "idx":
@@ -252,16 +227,24 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     classes = cfg.get("data.classes")
     if classes:
         ds = filter_classes(ds, classes)
-    mode = cfg.get("subsample.mode")
-    if mode:
-        spec = SubsampleSpec(
-            mode=mode,
-            r_min=cfg.get("subsample.r_min", 1.0),
-            target_class=cfg.get("subsample.target_class"),
-            counts=cfg.get("subsample.counts"),
-            seed=cfg.get("subsample.seed", cfg.seed),
-        )
-        ds = subsample(ds, spec)
+    return ds
+
+
+def _subsample_spec(cfg: ExperimentConfig) -> SubsampleSpec:
+    return SubsampleSpec(
+        mode=cfg.require("subsample.mode"),
+        r_min=cfg.get("subsample.r_min", 1.0),
+        target_class=cfg.get("subsample.target_class"),
+        counts=cfg.get("subsample.counts"),
+        seed=cfg.get("subsample.seed", cfg.seed),
+    )
+
+
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
+    """Load, optionally class-filter, and optionally subsample the dataset."""
+    ds = _load_filtered(cfg)
+    if cfg.get("subsample.mode"):
+        ds = subsample(ds, _subsample_spec(cfg))
     return ds
 
 
@@ -393,8 +376,6 @@ def _write_curves_csv(path: Path, report) -> None:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     method = cfg.method
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
     needs_model = method in ("dec", "rdec", "ae_kmeans")
     input_paths = _existing_paths(cfg, need_model=needs_model)
     out = _unique_dir(cfg.get("out", "runs/train") if args.out is None else args.out)
@@ -497,15 +478,8 @@ def cmd_subsample(args) -> int:
     input_paths = _existing_paths(cfg, need_model=False)
     out = _unique_dir(cfg.get("out", "runs/subsample") if args.out is None else args.out)
 
-    full = load_dataset_without_subsample(cfg)
-    mode = cfg.require("subsample.mode")
-    spec = SubsampleSpec(
-        mode=mode,
-        r_min=cfg.get("subsample.r_min", 1.0),
-        target_class=cfg.get("subsample.target_class"),
-        counts=cfg.get("subsample.counts"),
-        seed=cfg.get("subsample.seed", cfg.seed),
-    )
+    full = _load_filtered(cfg)
+    spec = _subsample_spec(cfg)
     reduced = subsample(full, spec)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -522,11 +496,7 @@ def cmd_subsample(args) -> int:
     _write_manifest(
         out, cfg, "subsample", input_paths,
         extra={
-            "subsample": {
-                "mode": spec.mode, "r_min": spec.r_min,
-                "target_class": spec.target_class, "counts": spec.counts,
-                "seed": spec.seed,
-            },
+            "subsample": vars(spec),
             "class_counts_before": full.class_counts,
             "class_counts_after": reduced.class_counts,
             "output_files": files,
@@ -534,15 +504,6 @@ def cmd_subsample(args) -> int:
     )
     print(f"subsampled {full.n} -> {reduced.n} rows; outputs in {out}")
     return 0
-
-
-def load_dataset_without_subsample(cfg: ExperimentConfig) -> Dataset:
-    trimmed = ExperimentConfig(
-        settings={k: v for k, v in cfg.settings.items() if not k.startswith("subsample.")},
-        config_text=cfg.config_text,
-        config_path=cfg.config_path,
-    )
-    return load_dataset(trimmed)
 
 
 def _overrides(args) -> dict:

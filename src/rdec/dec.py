@@ -4,7 +4,8 @@ Embedded points are assigned to centroids with a Student-t kernel, the
 assignments are sharpened into a frequency-normalized target, and the
 model is trained to match that target under a KL objective. The gradient
 helper differentiates the KL with respect to both the embedded points and
-the centroids while the target stays fixed.
+the centroids while the target stays fixed, and returns the assignments
+it computed on the way, so one distance pass serves both.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ class DegenerateClusterError(RuntimeError):
 
 class InfiniteDivergenceError(ValueError):
     """KL(p || q) has q = 0 where p > 0."""
-
-
-@dataclass
-class SoftAssignment:
-    q: Matrix  # (n, k), rows sum to 1
-    alpha: float
 
 
 @dataclass
@@ -55,18 +50,23 @@ def _kernel(dists: Matrix, alpha: float) -> Matrix:
     return (1.0 + dists / alpha) ** (-(alpha + 1.0) / 2.0)
 
 
-def soft_assign(z: Matrix, centroids: Matrix, alpha: float = 1.0) -> SoftAssignment:
-    """Student-t similarity between each point and each centroid, row-normalized."""
+def _distances_and_q(z: Matrix, centroids: Matrix, alpha: float) -> tuple[Matrix, Matrix]:
+    """Squared distances and the row-normalized Student-t assignments they give."""
     if centroids.shape[0] < 1:
         raise ValueError("need at least one centroid")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    kernels = _kernel(squared_distances(z, centroids), alpha)
-    q = kernels / kernels.sum(axis=1, keepdims=True)
-    return SoftAssignment(q=q, alpha=alpha)
+    dists = squared_distances(z, centroids)
+    kernels = _kernel(dists, alpha)
+    return dists, kernels / kernels.sum(axis=1, keepdims=True)
 
 
-def target_distribution(assignment: SoftAssignment, s: float = 2.0) -> TargetDistribution:
+def soft_assign(z: Matrix, centroids: Matrix, alpha: float = 1.0) -> Matrix:
+    """Student-t similarity between each point and each centroid, row-normalized."""
+    return _distances_and_q(z, centroids, alpha)[1]
+
+
+def target_distribution(q: Matrix, s: float = 2.0) -> TargetDistribution:
     """Sharpen soft assignments into the self-training target.
 
     Each q is raised to the power s and divided by its soft cluster
@@ -76,7 +76,6 @@ def target_distribution(assignment: SoftAssignment, s: float = 2.0) -> TargetDis
     """
     if s < 1.0:
         raise ValueError(f"sharpening exponent must be >= 1, got {s}")
-    q = assignment.q
     frequencies = q.sum(axis=0)
     if np.any(frequencies <= 0.0):
         dead = np.flatnonzero(frequencies <= 0.0).tolist()
@@ -100,23 +99,23 @@ def kl_divergence(p: Matrix, q: Matrix) -> float:
 
 def clustering_grads(
     z: Matrix, centroids: Matrix, target: Matrix, alpha: float = 1.0
-) -> tuple[Matrix, Matrix]:
+) -> tuple[Matrix, Matrix, Matrix]:
     """Gradients of KL(target || Q(z, centroids)) with the target held fixed.
 
     Works for any fixed row-stochastic target: the sharpened self-training
     target during clustering, or a frozen reference distribution for the
-    consistency loss. Returns (grad_z, grad_centroids) of the summed KL.
+    consistency loss. Returns (q, grad_z, grad_centroids): the soft
+    assignments from the same distance pass, then the gradients of the
+    summed KL.
     """
     if target.shape != (z.shape[0], centroids.shape[0]):
         raise ShapeMismatchError(
             f"target {target.shape} vs points {z.shape} x centroids {centroids.shape}"
         )
-    dists = squared_distances(z, centroids)
-    kernels = _kernel(dists, alpha)
-    q = kernels / kernels.sum(axis=1, keepdims=True)
+    dists, q = _distances_and_q(z, centroids, alpha)
     # d KL / d dist_ij = (target_ij - q_ij) (alpha+1) / (2 (alpha + dist_ij)),
     # then d dist / d z_i = 2 (z_i - u_j) and d dist / d u_j = -2 (z_i - u_j).
     w = (alpha + 1.0) * (target - q) / (alpha + dists)
     grad_z = w.sum(axis=1, keepdims=True) * z - w @ centroids
     grad_centroids = w.sum(axis=0)[:, None] * centroids - w.T @ z
-    return grad_z, grad_centroids
+    return q, grad_z, grad_centroids

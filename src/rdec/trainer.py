@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .dec import SoftAssignment, clustering_grads, kl_divergence, soft_assign, target_distribution
+from .dec import clustering_grads, kl_divergence, soft_assign, target_distribution
 from .kmeans import kmeans
 from .network import ENCODE_CHUNK, Adam, Network, SgdMomentum, backward, encode, forward
 from .tensor import Matrix, check_finite, mse_loss
@@ -87,6 +87,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.s < 1.0:
             raise ValueError(f"s must be >= 1, got {self.s}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if not 0.0 < self.sigma < 1.0:
@@ -156,32 +158,36 @@ class ClusterModel:
 
     def predict(self, x: Matrix) -> Matrix:
         z = encode(self.encoder, x)
-        return soft_assign(z, self.centroids, self.alpha).q
+        return soft_assign(z, self.centroids, self.alpha)
 
     def _kl_forward_backward(self, x: Matrix, q_ref: Matrix, need_input: bool,
                              need_params: bool):
+        """Mean-row KL(q_ref || predict(x)) from one forward, one distance
+        pass and one backward.
+
+        Returns (loss, q, grad_x, grads): q is the prediction on x, grad_x
+        is None unless need_input, and grads (None unless need_params)
+        lists the encoder gradients followed by the centroid gradient.
+        """
         n = x.shape[0]
         z, caches = forward(self.encoder, x)
-        q = soft_assign(z, self.centroids, self.alpha).q
+        q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
         loss = kl_divergence(q_ref, q) / n
-        grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
         param_grads, grad_x = backward(
             self.encoder, caches, grad_z / n,
             need_input_grad=need_input, need_param_grads=need_params,
         )
-        return loss, grad_x, param_grads, grad_centroids / n
+        grads = None if param_grads is None else [*param_grads, grad_centroids / n]
+        return loss, q, grad_x, grads
 
     def kl_input_grad(self, x: Matrix, q_ref: Matrix) -> Matrix:
         """d/dx of mean-row KL(q_ref || predict(x)), q_ref constant."""
-        _, grad_x, _, _ = self._kl_forward_backward(x, q_ref, True, False)
-        return grad_x
+        return self._kl_forward_backward(x, q_ref, True, False)[2]
 
     def kl_param_grads(self, x: Matrix, q_ref: Matrix):
         """Mean-row KL(q_ref || predict(x)) and gradients per parameter."""
-        loss, _, param_grads, grad_centroids = self._kl_forward_backward(
-            x, q_ref, False, True
-        )
-        return loss, [*param_grads, grad_centroids]
+        loss, _, _, grads = self._kl_forward_backward(x, q_ref, False, True)
+        return loss, grads
 
 
 def label_change_rate(prev_assignments, new_assignments) -> float:
@@ -300,9 +306,9 @@ def finetune(
     for it in range(cfg.max_iter):
         if it % cfg.tau == 0:
             # At iteration 0 the encoder has not moved since K-means embedded the data.
-            q_full = soft_assign(z, centroids, cfg.alpha).q if it == 0 else model.predict(data)
+            q_full = soft_assign(z, centroids, cfg.alpha) if it == 0 else model.predict(data)
             assignments = q_full.argmax(axis=1)
-            target_full = target_distribution(SoftAssignment(q_full, cfg.alpha), cfg.s)
+            target_full = target_distribution(q_full, cfg.s)
             ckpt_loss = kl_divergence(target_full.p, q_full) / n
             acc = ari = None
             if labels is not None:
@@ -323,14 +329,10 @@ def finetune(
 
         idx = next(batch_iter)
         x_b = data[idx]
-        b = len(idx)
-        z_b, caches = forward(encoder, x_b)
-        q_b = soft_assign(z_b, centroids, cfg.alpha).q
-        p_b = target_full.p[idx]
-        clustering = kl_divergence(p_b, q_b) / b
-        grad_z, grad_centroids = clustering_grads(z_b, centroids, p_b, cfg.alpha)
-        enc_grads, _ = backward(encoder, caches, grad_z / b)
-        grads = [*enc_grads, grad_centroids / b]
+        # The clean prediction q_b is also the VAT reference.
+        clustering, q_b, _, grads = model._kl_forward_backward(
+            x_b, target_full.p[idx], False, True
+        )
 
         consistency = 0.0
         if use_vat:

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from rdec.cli import main
+from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_idx
+from rdec.trainer import OptimizerSpec, TrainConfig
+from rdec.vat import VatConfig
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,83 @@ class TestTrainCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_unknown_method_exits_2(self, tmp_path, idx_fixture, capsys):
+        cfg = write_config(tmp_path, idx_fixture)
+        cfg.write_text(cfg.read_text().replace("method = rdec", "method = spectral"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "spectral" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+# Every training key set away from its default, and the TrainConfig it must give.
+NON_DEFAULT_TRAINING = """
+method = dec
+seed = 7
+gamma = 0.5
+s = 3
+epsilon = 0.25
+xi = 4
+ip = 2
+tau = 9
+sigma = 0.2
+max_iter = 33
+batch_size = 17
+patience = 5
+pretrain.epochs = 11
+pretrain.optimizer = adam
+pretrain.lr = 0.003
+pretrain.momentum = 0.8
+pretrain.beta1 = 0.7
+pretrain.beta2 = 0.99
+finetune.optimizer = adam
+finetune.lr = 0.002
+finetune.momentum = 0.6
+kmeans.restarts = 3
+"""
+
+NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
+    method="dec", seed=7, gamma=0.5, s=3.0,
+    vat=VatConfig(epsilon=0.25, xi=4.0, ip=2),
+    tau=9, sigma=0.2, max_iter=33, batch_size=17, patience=5, pretrain_epochs=11,
+    pretrain_optimizer=OptimizerSpec(kind="adam", lr=0.003, momentum=0.8,
+                                     beta1=0.7, beta2=0.99),
+    finetune_optimizer=OptimizerSpec(kind="adam", lr=0.002, momentum=0.6),
+    kmeans_restarts=3,
+)
+
+
+class TestTrainConfigMapping:
+    def test_every_training_key_lands_on_its_field(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text(NON_DEFAULT_TRAINING)
+        cfg = load_config(path)
+        assert set(cfg.settings) == {key for key, (_, dest) in SCHEMA.items() if dest}
+        train = cfg.train_config()
+        assert train == NON_DEFAULT_TRAIN_CONFIG
+        assert (cfg.seed, cfg.method) == (7, "dec")
+
+    def test_empty_config_gives_the_defaults(self, tmp_path):
+        assert ExperimentConfig().train_config() == TrainConfig()
+        path = tmp_path / "empty.cfg"
+        path.write_text("# nothing set\n")
+        cfg = load_config(path)
+        assert cfg.train_config() == TrainConfig()
+        assert (cfg.seed, cfg.method) == (TrainConfig().seed, TrainConfig().method)
+
+    def test_each_key_changes_only_its_field(self):
+        defaults = TrainConfig()
+        base = ExperimentConfig(settings={"epsilon": 0.5}).train_config()
+        assert base.vat == VatConfig(epsilon=0.5)
+        assert (base.pretrain_optimizer, base.finetune_optimizer) == (
+            defaults.pretrain_optimizer, defaults.finetune_optimizer)
+        lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train_config()
+        assert lr.pretrain_optimizer == OptimizerSpec(kind="sgd_momentum", lr=0.5)
+        assert lr.finetune_optimizer == defaults.finetune_optimizer
+
+    def test_bad_vat_value_is_a_config_error(self, tmp_path, idx_fixture):
+        cfg = write_config(tmp_path, idx_fixture, extra="epsilon = 0\n")
+        assert main(["train", "--config", str(cfg)]) == 2
 
 
 class TestEvalCommand:

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from rdec.dec import (
     DegenerateClusterError,
     InfiniteDivergenceError,
-    SoftAssignment,
     clustering_grads,
     kl_divergence,
     soft_assign,
@@ -22,18 +21,18 @@ class TestSoftAssign:
     def test_equidistant_point_splits_evenly(self):
         z = np.array([[0.5, 0.0]])
         centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-        q = soft_assign(z, centroids).q
+        q = soft_assign(z, centroids)
         np.testing.assert_allclose(q, [[0.5, 0.5]], atol=1e-15)
 
     def test_hand_evaluated_kernels(self):
         # distances 0 and 1 with unit dof: kernels 1 and 1/2
         z = np.array([[0.0, 0.0]])
         centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-        q = soft_assign(z, centroids, alpha=1.0).q
+        q = soft_assign(z, centroids, alpha=1.0)
         np.testing.assert_allclose(q, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_single_centroid(self):
-        q = soft_assign(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]])).q
+        q = soft_assign(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
         np.testing.assert_array_equal(q, [[1.0]])
 
     def test_dimension_mismatch(self):
@@ -50,14 +49,14 @@ class TestSoftAssign:
         arrays(np.float64, (4, 3), elements=st.floats(-50, 50)),
     )
     def test_rows_sum_to_one(self, z, centroids):
-        q = soft_assign(z, centroids).q
+        q = soft_assign(z, centroids)
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(q > 0.0) and np.all(q < 1.0 + 1e-12)
 
 
 class TestTargetDistribution:
     def test_hand_evaluated_sharpening(self):
-        q = SoftAssignment(np.array([[0.8, 0.2], [0.2, 0.8]]), alpha=1.0)
+        q = np.array([[0.8, 0.2], [0.2, 0.8]])
         target = target_distribution(q, s=2.0)
         np.testing.assert_allclose(target.frequencies, [1.0, 1.0])
         np.testing.assert_allclose(
@@ -66,22 +65,22 @@ class TestTargetDistribution:
         np.testing.assert_allclose(target.p[0], [0.9412, 0.0588], atol=1e-4)
 
     def test_uniform_rows_stay_uniform(self):
-        q = SoftAssignment(np.full((5, 4), 0.25), alpha=1.0)
+        q = np.full((5, 4), 0.25)
         target = target_distribution(q, s=2.0)
         np.testing.assert_allclose(target.p, 0.25, atol=1e-12)
 
     def test_s1_with_equal_frequencies_is_identity(self):
-        q = SoftAssignment(np.array([[0.7, 0.3], [0.3, 0.7]]), alpha=1.0)
+        q = np.array([[0.7, 0.3], [0.3, 0.7]])
         target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target.p, q.q, atol=1e-15)
+        np.testing.assert_allclose(target.p, q, atol=1e-15)
 
     def test_degenerate_cluster_raises(self):
-        q = SoftAssignment(np.array([[1.0, 0.0], [1.0, 0.0]]), alpha=1.0)
+        q = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateClusterError, match=r"\[1\]"):
             target_distribution(q, s=2.0)
 
     def test_s_below_one_rejected(self):
-        q = SoftAssignment(np.full((2, 2), 0.5), alpha=1.0)
+        q = np.full((2, 2), 0.5)
         with pytest.raises(ValueError):
             target_distribution(q, s=0.5)
 
@@ -92,7 +91,7 @@ class TestTargetDistribution:
     )
     def test_sharpening_properties(self, raw, s):
         q = raw / raw.sum(axis=1, keepdims=True)
-        target = target_distribution(SoftAssignment(q, 1.0), s=s)
+        target = target_distribution(q, s=s)
         np.testing.assert_allclose(target.p.sum(axis=1), 1.0, atol=1e-9)
         # argmax of each target row equals argmax of q^s / f
         scores = q**s / q.sum(axis=0)
@@ -105,7 +104,7 @@ class TestTargetDistribution:
             q_rows = [np.roll(base, shift) for shift in range(4)]
             q = np.array(q_rows)
             q = q / q.sum(axis=1, keepdims=True)
-            target = target_distribution(SoftAssignment(q, 1.0), s=s)
+            target = target_distribution(q, s=s)
             assert np.all(target.p.max(axis=1) >= q.max(axis=1) - 1e-12)
 
 
@@ -142,8 +141,8 @@ class TestClusteringGrads:
         centroids = np.array([[0.0, 0.0], [2.0, 2.0]])
         q = soft_assign(z, centroids)
         target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target.p, q.q, atol=1e-15)
-        grad_z, grad_u = clustering_grads(z, centroids, target.p)
+        np.testing.assert_allclose(target.p, q, atol=1e-15)
+        _, grad_z, grad_u = clustering_grads(z, centroids, target.p)
         np.testing.assert_allclose(grad_z, 0.0, atol=1e-12)
         np.testing.assert_allclose(grad_u, 0.0, atol=1e-12)
 
@@ -153,12 +152,12 @@ class TestClusteringGrads:
         q = soft_assign(z, centroids)
         p = target_distribution(q, s=2.0).p  # frozen
 
-        grad_z, grad_u = clustering_grads(z, centroids, p)
+        _, grad_z, grad_u = clustering_grads(z, centroids, p)
         fd_z = numerical_grad(
-            lambda v: kl_divergence(p, soft_assign(v, centroids).q), z.copy()
+            lambda v: kl_divergence(p, soft_assign(v, centroids)), z.copy()
         )
         fd_u = numerical_grad(
-            lambda v: kl_divergence(p, soft_assign(z, v).q), centroids.copy()
+            lambda v: kl_divergence(p, soft_assign(z, v)), centroids.copy()
         )
         assert relative_error(grad_z, fd_z) < 1e-5
         assert relative_error(grad_u, fd_u) < 1e-5
@@ -167,9 +166,9 @@ class TestClusteringGrads:
         z = rng.standard_normal((4, 3))
         centroids = rng.standard_normal((2, 3))
         p = target_distribution(soft_assign(z, centroids), s=2.0).p
-        g_z, _ = clustering_grads(z, centroids, p)
+        _, g_z, _ = clustering_grads(z, centroids, p)
         shift = rng.standard_normal(3)
-        g_z_shifted, _ = clustering_grads(z + shift, centroids + shift, p)
+        _, g_z_shifted, _ = clustering_grads(z + shift, centroids + shift, p)
         np.testing.assert_allclose(g_z_shifted, g_z, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
@@ -183,12 +182,12 @@ class TestClusteringGrads:
             centroids = rng.standard_normal((k, dim)) * 2
             p = rng.random((n, k)) + 0.05
             p /= p.sum(axis=1, keepdims=True)
-            grad_z, grad_u = clustering_grads(z, centroids, p)
+            _, grad_z, grad_u = clustering_grads(z, centroids, p)
             fd_z = numerical_grad(
-                lambda v: kl_divergence(p, soft_assign(v, centroids).q), z.copy()
+                lambda v: kl_divergence(p, soft_assign(v, centroids)), z.copy()
             )
             fd_u = numerical_grad(
-                lambda v: kl_divergence(p, soft_assign(z, v).q), centroids.copy()
+                lambda v: kl_divergence(p, soft_assign(z, v)), centroids.copy()
             )
             assert relative_error(grad_z, fd_z) < 1e-5
             assert relative_error(grad_u, fd_u) < 1e-5

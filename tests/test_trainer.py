@@ -3,8 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from rdec import trainer
-from rdec.dec import SoftAssignment, kl_divergence, target_distribution
+from rdec import dec, trainer
+from rdec.dec import kl_divergence, target_distribution
 from rdec.metrics import accuracy
 from rdec.network import Layer, Network
 from rdec.trainer import (
@@ -266,7 +266,7 @@ class TestFinetune:
         # ClusterModel.predict on a fresh copy of the starting encoder.
         model = ClusterModel(copy.deepcopy(start), runs[0].centroids.copy(), cfg.alpha)
         q = model.predict(data)
-        target = target_distribution(SoftAssignment(q, cfg.alpha), cfg.s)
+        target = target_distribution(q, cfg.s)
         assert report.checkpoints[0].loss == kl_divergence(target.p, q) / n
         params = model.parameters()
         optimizer = cfg.finetune_optimizer.make()
@@ -278,6 +278,73 @@ class TestFinetune:
             optimizer.step(params, grads)
         np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
         np.testing.assert_array_equal(report.final_centroids, model.centroids)
+
+    def test_bad_alpha_fails_before_kmeans(self, monkeypatch):
+        data, _ = two_gaussians(n=40, seed=1)
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("K-means ran before alpha was checked")
+
+        monkeypatch.setattr(trainer, "kmeans", no_kmeans)
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                finetune(small_encoder(0), data, 2, fast_config(alpha=alpha))
+
+
+class TestOneDistancePassPerKl:
+    """Each KL evaluation in a step (the clustering term, every VAT probe,
+    the perturbed pass) makes one distance pass that yields both q and
+    the gradients."""
+
+    @pytest.mark.parametrize("method, gamma, per_step", [
+        ("dec", 0.0, 1),
+        ("rdec", 0.0, 1),
+        ("rdec", 2.0, 3),  # clustering term + one ip=1 probe + perturbed pass
+    ])
+    def test_squared_distance_calls_per_step(self, monkeypatch, method, gamma, per_step):
+        data, _ = two_gaussians(n=120, seed=3)
+        calls = []
+        real = dec.squared_distances
+
+        def counting(z, centroids):
+            calls.append(z.shape[0])
+            return real(z, centroids)
+
+        monkeypatch.setattr(dec, "squared_distances", counting)
+        steps = 7
+        cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
+                          batch_size=16, seed=5)
+        assert cfg.vat.ip == 1
+        _, report = finetune(small_encoder(3), data, 2, cfg)
+        assert report.stop_reason == "max_iterations"
+        assert len(report.iterations) == steps
+        # plus one full-data pass for the refresh at 0 and one for the final predict
+        assert len(calls) == steps * per_step + 2
+        assert calls.count(len(data)) == 2
+
+    def test_dec_step_bypasses_the_vat_entry_points(self, monkeypatch):
+        def forbidden(self, x, q_ref):
+            raise AssertionError("a dec step went through a VAT entry point")
+
+        monkeypatch.setattr(ClusterModel, "kl_param_grads", forbidden)
+        monkeypatch.setattr(ClusterModel, "kl_input_grad", forbidden)
+        data, _ = two_gaussians(n=200, seed=2)
+        assignments, _ = finetune(small_encoder(1), data, 2,
+                                  fast_config(method="dec", max_iter=60, seed=4))
+        assert len(assignments) == len(data)
+
+    def test_core_returns_the_prediction_with_the_gradients(self, rng):
+        model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
+        x = rng.standard_normal((6, 3))
+        q_ref = model.predict(rng.standard_normal((6, 3)))
+        loss, q, grad_x, grads = model._kl_forward_backward(x, q_ref, True, True)
+        np.testing.assert_array_equal(q, model.predict(x))
+        assert loss == kl_divergence(q_ref, q) / len(x)
+        np.testing.assert_array_equal(grad_x, model.kl_input_grad(x, q_ref))
+        view_loss, view_grads = model.kl_param_grads(x, q_ref)
+        assert view_loss == loss
+        for a, b in zip(grads, view_grads, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestRunClustering:
