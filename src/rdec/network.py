@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    LayerCache,
     Matrix,
     ShapeMismatchError,
     affine_backward,
@@ -100,27 +99,27 @@ def build_network(input_dim: int, latent_dim: int, seed: int) -> tuple[Network, 
     return encoder, decoder
 
 
-def forward(net: Network, x: Matrix) -> tuple[Matrix, list[LayerCache]]:
-    """Run the stack, keeping per-layer caches for backprop."""
-    caches: list[LayerCache] = []
+def forward(net: Network, x: Matrix) -> tuple[Matrix, list[Matrix]]:
+    """Run the stack; ``caches[i]`` is layer i's input, ``caches[i + 1]`` its
+    output (ReLU clamps the fresh affine output in place; ``x`` is never written)."""
+    caches = [x]
     out = x
     for layer in net.layers:
-        out, cache = affine_forward(out, layer.weight, layer.bias)
-        caches.append(cache)
+        out, _ = affine_forward(out, layer.weight, layer.bias)
         if layer.activation == RELU:
-            out, cache = relu_forward(out)
-            caches.append(cache)
+            out, _ = relu_forward(out)
+        caches.append(out)
     return out, caches
 
 
 def backward(
     net: Network,
-    caches: list[LayerCache],
+    caches: list[Matrix],
     grad_out: Matrix,
     need_input_grad: bool = False,
     need_param_grads: bool = True,
 ) -> tuple[list[np.ndarray] | None, Matrix | None]:
-    """Backpropagate grad_out through the stack.
+    """Backpropagate grad_out through the stack; grad_out is never written.
 
     Returns gradients aligned with ``net.parameters()`` plus the gradient
     with respect to the input batch when requested. Skipping parameter
@@ -128,29 +127,21 @@ def backward(
     not requesting the input gradient skips the first layer's
     input-gradient matmul.
     """
-    grads: list[np.ndarray] | None = None
-    if need_param_grads:
-        grads = [None] * (2 * len(net.layers))  # type: ignore[list-item]
+    grads = [None] * (2 * len(net.layers)) if need_param_grads else None
     grad = grad_out
-    pos = len(caches)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
+        out = caches[i + 1]
+        if grad.shape != out.shape:
+            raise ShapeMismatchError(f"backward: grad {grad.shape} vs output {out.shape}")
         if layer.activation == RELU:
-            pos -= 1
-            grad = relu_backward(grad, caches[pos])
-        pos -= 1
+            # Masks in place: every grad but the caller's is this pass's own.
+            grad = relu_backward(grad.copy() if grad is grad_out else grad, out)
         if need_param_grads:
-            grad, grad_w, grad_b = affine_backward(
-                grad, caches[pos], layer.weight, need_input_grad=need_input_grad or i > 0
+            grad, grads[2 * i], grads[2 * i + 1] = affine_backward(
+                grad, caches[i], layer.weight, need_input_grad=need_input_grad or i > 0
             )
-            grads[2 * i] = grad_w
-            grads[2 * i + 1] = grad_b
         else:
-            if grad.shape != caches[pos].pre_activation.shape:
-                raise ShapeMismatchError(
-                    f"backward: grad {grad.shape} vs output "
-                    f"{caches[pos].pre_activation.shape}"
-                )
             grad = grad @ layer.weight.T
     return grads, (grad if need_input_grad else None)
 
@@ -183,6 +174,14 @@ def _check_grads(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError(f"optimizer: parameter {p.shape} vs gradient {g.shape}")
+        if not p.flags.c_contiguous:
+            # reshape(-1) would copy it, and the update would be lost.
+            raise ValueError(f"optimizer: parameter {p.shape} is not C-contiguous")
+
+
+# SgdMomentum updates each raveled parameter in chunks this long so that a
+# chunk of v, g and p stays in L2 across the three elementwise passes.
+STEP_CHUNK = 2**15
 
 
 class SgdMomentum:
@@ -198,9 +197,13 @@ class SgdMomentum:
         if self.velocities is None:
             self.velocities = [np.zeros_like(p) for p in params]
         for p, g, v in zip(params, grads, self.velocities):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
+            p, g, v = p.reshape(-1), g.reshape(-1), v.reshape(-1)
+            for start in range(0, p.size, STEP_CHUNK):
+                stop = start + STEP_CHUNK
+                vc = v[start:stop]
+                vc *= self.momentum
+                vc -= self.lr * g[start:stop]
+                p[start:stop] += vc
 
 
 class Adam:

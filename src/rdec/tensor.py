@@ -9,8 +9,6 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Row-major (batch, features) float64 array.
@@ -36,16 +34,8 @@ def check_finite(name: str, values: np.ndarray) -> None:
         raise FloatingPointError(f"{name} contains NaN or Inf entries")
 
 
-@dataclass
-class LayerCache:
-    """Forward-pass values the matching backward pass needs."""
-
-    input: Matrix
-    pre_activation: Matrix
-
-
-def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix, LayerCache]:
-    """Compute ``x @ weight + bias`` with the bias broadcast per row."""
+def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix, Matrix]:
+    """Compute ``x @ weight + bias`` per row; the returned cache is ``x`` itself."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeMismatchError(
             f"affine: input {x.shape} incompatible with weight {weight.shape}"
@@ -56,52 +46,49 @@ def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix,
         )
     out = x @ weight
     out += bias
-    return out, LayerCache(input=x, pre_activation=out)
+    return out, x
 
 
 def affine_backward(
-    grad_out: Matrix, cache: LayerCache, weight: Matrix, need_input_grad: bool = True
+    grad_out: Matrix, x: Matrix, weight: Matrix, need_input_grad: bool = True
 ) -> tuple[Matrix | None, Matrix, np.ndarray]:
-    """Gradients of the affine map: returns (grad_input, grad_weight, grad_bias).
+    """Gradients of the affine map at input x: (grad_input, grad_weight, grad_bias).
 
     With ``need_input_grad=False`` the input-gradient matmul is skipped and
     ``grad_input`` is None; the first layer of a stack never needs it
     unless the caller asked for the gradient with respect to the data.
     """
-    if grad_out.shape != cache.pre_activation.shape:
+    if grad_out.shape != (x.shape[0], weight.shape[1]) or x.shape[1] != weight.shape[0]:
         raise ShapeMismatchError(
-            f"affine backward: grad {grad_out.shape} vs output {cache.pre_activation.shape}"
-        )
-    if cache.input.shape[1] != weight.shape[0] or grad_out.shape[1] != weight.shape[1]:
-        raise ShapeMismatchError(
-            f"affine backward: grad {grad_out.shape}, input {cache.input.shape}, "
-            f"weight {weight.shape}"
+            f"affine backward: grad {grad_out.shape}, input {x.shape}, weight {weight.shape}"
         )
     grad_in = grad_out @ weight.T if need_input_grad else None
-    grad_weight = cache.input.T @ grad_out
+    grad_weight = x.T @ grad_out
     grad_bias = grad_out.sum(axis=0)
     return grad_in, grad_weight, grad_bias
 
 
-def relu_forward(x: Matrix) -> tuple[Matrix, LayerCache]:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0.0), LayerCache(input=x, pre_activation=x)
+def relu_forward(x: Matrix) -> tuple[Matrix, Matrix]:
+    """Elementwise max(0, x) in place: ``x`` is clamped and returned as both
+    the output and the cache (``out > 0`` exactly where ``x > 0`` was)."""
+    np.maximum(x, 0.0, out=x)
+    return x, x
 
 
-def relu_backward(grad_out: Matrix, cache: LayerCache) -> Matrix:
-    """Pass gradients where the pre-activation was positive, zero elsewhere.
+def relu_backward(grad_out: Matrix, out: Matrix) -> Matrix:
+    """Pass gradients where the output is positive, zero elsewhere.
 
-    The subgradient at exactly 0 is taken as 0, so a unit sitting on the
-    kink blocks the gradient deterministically. The gradient is multiplied
-    by the mask, so a masked entry is zero but may be ``-0.0``, and a
-    non-finite upstream value in a masked lane propagates as NaN instead
-    of being hidden.
+    ``grad_out`` is multiplied by the mask in place and returned. The
+    subgradient at exactly 0 is taken as 0, so a unit on the kink blocks the
+    gradient deterministically. A masked entry may be ``-0.0``, and a
+    non-finite upstream value in a masked lane propagates as NaN.
     """
-    if grad_out.shape != cache.pre_activation.shape:
+    if grad_out.shape != out.shape:
         raise ShapeMismatchError(
-            f"relu backward: grad {grad_out.shape} vs input {cache.pre_activation.shape}"
+            f"relu backward: grad {grad_out.shape} vs output {out.shape}"
         )
-    return grad_out * (cache.pre_activation > 0.0)
+    grad_out *= out > 0.0
+    return grad_out
 
 
 def mse_loss(predicted: Matrix, target: Matrix) -> tuple[float, Matrix]:
@@ -115,5 +102,5 @@ def mse_loss(predicted: Matrix, target: Matrix) -> tuple[float, Matrix]:
         )
     diff = predicted - target
     loss = float(np.mean(diff * diff))
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
+    diff *= 2.0 / diff.size
+    return loss, diff

@@ -48,12 +48,15 @@ class OptimizerSpec:
     beta1: float = 0.9
     beta2: float = 0.999
 
+    def __post_init__(self):
+        if self.kind not in ("sgd_momentum", "adam"):
+            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+
     def make(self):
-        if self.kind == "sgd_momentum":
-            return SgdMomentum(lr=self.lr, momentum=self.momentum)
+        self.__post_init__()
         if self.kind == "adam":
             return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2)
-        raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        return SgdMomentum(lr=self.lr, momentum=self.momentum)
 
 
 @dataclass
@@ -103,6 +106,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.pretrain_optimizer.__post_init__()
+        self.finetune_optimizer.__post_init__()
         self.vat.__post_init__()
 
 
@@ -166,13 +171,14 @@ class ClusterModel:
         pass and one backward.
 
         Returns (loss, q, grad_x, grads): q is the prediction on x, grad_x
-        is None unless need_input, and grads (None unless need_params)
-        lists the encoder gradients followed by the centroid gradient.
+        is None unless need_input, and loss and grads are None unless
+        need_params; grads lists the encoder gradients followed by the
+        centroid gradient.
         """
         n = x.shape[0]
         z, caches = forward(self.encoder, x)
         q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
-        loss = kl_divergence(q_ref, q) / n
+        loss = kl_divergence(q_ref, q) / n if need_params else None
         param_grads, grad_x = backward(
             self.encoder, caches, grad_z / n,
             need_input_grad=need_input, need_param_grads=need_params,
@@ -215,8 +221,9 @@ def _reconstruction_loss(encoder: Network, decoder: Network, data: Matrix) -> fl
     total = 0.0
     for start in range(0, data.shape[0], ENCODE_CHUNK):
         x = data[start : start + ENCODE_CHUNK]
-        recon = encode(decoder, encode(encoder, x))
-        total += float(np.sum((recon - x) ** 2))
+        diff = encode(decoder, encode(encoder, x))
+        diff -= x
+        total += float(np.sum(np.square(diff, out=diff)))
     return total / data.size
 
 
@@ -340,7 +347,8 @@ def finetune(
             r_adv = adversarial_perturbation(model, x_b, q_b, cfg.vat, vat_rng)
             consistency, vat_grads = vat_loss(model, x_b, r_adv, q_ref=q_b)
             for g, vg in zip(grads, vat_grads):
-                g += cfg.gamma * vg
+                vg *= cfg.gamma
+                g += vg
 
         optimizer.step(params, grads)
         iterations.append(

@@ -69,9 +69,10 @@ def test_c1_gradient_suite():
         x = rng.standard_normal((n, d))
         x[np.abs(x) < 1e-3] += 0.01
         coeffs = rng.standard_normal((n, d))
-        _, cache = relu_forward(x)
-        grad = relu_backward(coeffs, cache)
-        fd = numerical_grad(lambda v: float((relu_forward(v)[0] * coeffs).sum()), x.copy())
+        _, cache = relu_forward(x.copy())
+        grad = relu_backward(coeffs.copy(), cache)
+        fd = numerical_grad(lambda v: float((relu_forward(v.copy())[0] * coeffs).sum()),
+                            x.copy())
         assert relative_error(grad, fd) < GRAD_TOL
 
     for _ in range(100):  # mse

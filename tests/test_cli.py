@@ -177,6 +177,14 @@ class TestTrainCommand:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_unknown_optimizer_kind_exits_2(self, tmp_path, idx_fixture, capsys, command):
+        cfg = write_config(tmp_path, idx_fixture, extra="finetune.optimizer = rmsprop\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "rmsprop" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
 # Every training key set away from its default, and the TrainConfig it must give.
 NON_DEFAULT_TRAINING = """
 method = dec

@@ -77,6 +77,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_config(**kwargs).validate()
 
+    @pytest.mark.parametrize("field", ["pretrain_optimizer", "finetune_optimizer"])
+    def test_rejects_an_unknown_optimizer_kind(self, field):
+        cfg = fast_config()
+        getattr(cfg, field).kind = "rmsprop"
+        with pytest.raises(ValueError, match="rmsprop"):
+            cfg.validate()
+
     def test_optimizer_spec(self):
         with pytest.raises(ValueError):
             OptimizerSpec(kind="rmsprop").make()
@@ -291,6 +298,36 @@ class TestFinetune:
                 finetune(small_encoder(0), data, 2, fast_config(alpha=alpha))
 
 
+    def test_bad_optimizer_kind_fails_before_encode_and_kmeans(self, monkeypatch):
+        data, _ = two_gaussians(n=40, seed=1)
+
+        def too_late(*args, **kwargs):
+            raise AssertionError("the data was encoded or clustered before the check")
+
+        monkeypatch.setattr(trainer, "encode", too_late)
+        monkeypatch.setattr(trainer, "kmeans", too_late)
+        cfg = fast_config()
+        cfg.finetune_optimizer.kind = "rmsprop"
+        with pytest.raises(ValueError, match="rmsprop"):
+            finetune(small_encoder(0), data, 2, cfg)
+
+    @pytest.mark.parametrize("method, gamma", [("dec", 0.0), ("rdec", 0.0), ("rdec", 2.0)])
+    def test_read_only_data(self, method, gamma):
+        data, _ = two_gaussians(n=120, seed=4)
+        data = (data - data.min()) / (data.max() - data.min())
+        data.flags.writeable = False
+        before = data.copy()
+        encoder, decoder = small_encoder(2), small_decoder(2)
+        cfg = fast_config(method=method, gamma=gamma, pretrain_epochs=2, max_iter=5,
+                          batch_size=32)
+        cfg.pretrain_optimizer.lr = 0.05
+        assert np.isfinite(pretrain(encoder, decoder, data, cfg))
+        assignments, _ = finetune(encoder, data, 2, cfg)
+        assert len(assignments) == len(data)
+        assert trainer.encode(encoder, data).shape == (len(data), 2)
+        np.testing.assert_array_equal(data, before)
+
+
 class TestOneDistancePassPerKl:
     """Each KL evaluation in a step (the clustering term, every VAT probe,
     the perturbed pass) makes one distance pass that yields both q and
@@ -321,6 +358,40 @@ class TestOneDistancePassPerKl:
         # plus one full-data pass for the refresh at 0 and one for the final predict
         assert len(calls) == steps * per_step + 2
         assert calls.count(len(data)) == 2
+
+    @pytest.mark.parametrize("method, gamma, per_step", [
+        ("dec", 0.0, 1),
+        ("rdec", 0.0, 1),
+        ("rdec", 2.0, 2),  # clustering term + perturbed pass; the ip=1 probe needs no loss
+    ])
+    def test_kl_divergence_calls_per_step(self, monkeypatch, method, gamma, per_step):
+        data, _ = two_gaussians(n=120, seed=3)
+        calls = []
+        real = trainer.kl_divergence
+
+        def counting(p, q):
+            calls.append(q.shape[0])
+            return real(p, q)
+
+        monkeypatch.setattr(trainer, "kl_divergence", counting)
+        steps = 7
+        cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
+                          batch_size=16, seed=5)
+        assert cfg.vat.ip == 1
+        _, report = finetune(small_encoder(3), data, 2, cfg)
+        assert len(report.iterations) == steps
+        # plus the checkpoint loss of the refresh at iteration 0
+        assert len(calls) == steps * per_step + 1
+        assert calls.count(len(data)) == 1
+
+    def test_input_gradient_probe_computes_no_loss(self, rng):
+        model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
+        x = rng.standard_normal((6, 3))
+        loss, q, grad_x, grads = model._kl_forward_backward(
+            x, model.predict(x[::-1]), True, False
+        )
+        assert loss is None and grads is None
+        assert q.shape == (6, 3) and grad_x.shape == x.shape
 
     def test_dec_step_bypasses_the_vat_entry_points(self, monkeypatch):
         def forbidden(self, x, q_ref):
