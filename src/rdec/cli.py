@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text files (``#`` starts a comment);
 unknown keys are rejected. Shipped baseline configs live in ``configs/``.
 Every run directory is self-describing: it holds a copy of the config,
-the resolved settings, the seed, and content hashes of all input files.
+the resolved settings, the seed, and content hashes of all input files
+and of every file it holds, each written to a temp name and renamed.
 Existing run directories are never overwritten; a timestamp suffix is
 appended instead.
 
@@ -32,7 +33,9 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .data import (
     subsample,
 )
 from .network import build_network, encode, load_model, save_model
-from .trainer import METHODS, TrainConfig, pretrain, run_clustering
+from .trainer import ENCODER_METHODS, TrainConfig, pretrain, run_clustering
 
 
 class ConfigError(ValueError):
@@ -95,7 +98,6 @@ SCHEMA = {
     "sigma": (float, "sigma"),
     "max_iter": (int, "max_iter"),
     "batch_size": (int, "batch_size"),
-    "patience": (int, "patience"),
     "pretrain.epochs": (int, "pretrain_epochs"),
     "pretrain.optimizer": (str, "pretrain_optimizer.kind"),
     "pretrain.lr": (float, "pretrain_optimizer.lr"),
@@ -140,8 +142,8 @@ class ExperimentConfig:
         return self.settings.get(key, default)
 
     def require(self, key):
-        if key not in self.settings:
-            raise ConfigError(f"missing required config key {key!r}")
+        if self.settings.get(key) in (None, []):
+            raise ConfigError(f"config key {key!r} is missing or empty")
         return self.settings[key]
 
     @property
@@ -188,10 +190,19 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
-    """Validate that every input file exists; returns them for hashing."""
-    paths: list[Path] = []
+class DataSource(NamedTuple):
+    """Input files, their loader, and the writer of a variant in the same format."""
+
+    files: list[Path]
+    load: Callable[[], Dataset]
+    outputs: dict[str, str]  # manifest key -> run-directory file name
+    save: Callable[..., None]  # save(dataset, *paths), one path per output
+
+
+def _data_source(cfg: ExperimentConfig) -> DataSource:
+    """Resolve ``data.format`` into the input files and their reader/writer."""
     fmt = cfg.require("data.format")
+    name = cfg.get("data.name", "dataset")
     if fmt == "idx":
         images = cfg.require("data.images")
         labels = cfg.require("data.labels")
@@ -199,11 +210,26 @@ def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
             raise ConfigError(
                 f"{len(images)} image files vs {len(labels)} label files"
             )
-        paths += [Path(p) for p in images + labels]
-    elif fmt == "csv":
-        paths.append(Path(cfg.require("data.path")))
-    else:
-        raise ConfigError(f"unknown data.format {fmt!r}")
+        return DataSource(
+            files=[Path(p) for p in images + labels],
+            load=lambda: reduce(concat, (load_idx(img, lab, name=name)
+                                         for img, lab in zip(images, labels))),
+            outputs={"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"},
+            save=save_idx,
+        )
+    if fmt == "csv":
+        path = cfg.require("data.path")
+        return DataSource(
+            files=[Path(path)],
+            load=lambda: load_csv(path, cfg.get("data.label_column"), name=name),
+            outputs={"csv": "data.csv"}, save=save_csv,
+        )
+    raise ConfigError(f"unknown data.format {fmt!r}")
+
+
+def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
+    """Validate that every input file exists; returns them for hashing."""
+    paths = _data_source(cfg).files
     if need_model:
         paths.append(Path(cfg.require("model")))
     missing = [str(p) for p in paths if not p.is_file()]
@@ -214,16 +240,7 @@ def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
 
 def _load_filtered(cfg: ExperimentConfig) -> Dataset:
     """Load the dataset files and keep the configured classes, if any."""
-    fmt = cfg.require("data.format")
-    name = cfg.get("data.name", "dataset")
-    if fmt == "idx":
-        images = cfg.require("data.images")
-        labels = cfg.require("data.labels")
-        ds = load_idx(images[0], labels[0], name=name)
-        for img, lab in zip(images[1:], labels[1:]):
-            ds = concat(ds, load_idx(img, lab, name=name))
-    else:
-        ds = load_csv(cfg.require("data.path"), cfg.get("data.label_column"), name=name)
+    ds = _data_source(cfg).load()
     classes = cfg.get("data.classes")
     if classes:
         ds = filter_classes(ds, classes)
@@ -256,7 +273,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _unique_dir(base) -> Path:
+def _run_dir(args, cfg: ExperimentConfig, default: str) -> Path:
+    """``--out``, else the ``out`` key, else ``default``, made unique."""
+    base = cfg.get("out", default) if args.out is None else args.out
     path = Path(base)
     if not path.exists():
         return path
@@ -269,8 +288,46 @@ def _unique_dir(base) -> Path:
     return candidate
 
 
+def _save(out: Path, save: Callable[..., None], *names: str) -> None:
+    """Write run files atomically: ``save`` fills one temp path per name in
+    ``out``, then each is renamed to its name. A failure leaves neither."""
+    out.mkdir(parents=True, exist_ok=True)
+    temps = [out / f".tmp-{name}" for name in names]
+    try:
+        save(*temps)
+        for tmp, name in zip(temps, names):
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
+def _write_text(out: Path, name: str, text: str) -> None:
+    _save(out, lambda path: path.write_text(text), name)
+
+
+def _write_json(out: Path, name: str, payload) -> None:
+    _write_text(out, name, json.dumps(payload, indent=2) + "\n")
+
+
+def _csv_cell(value) -> str:
+    """Floats as the repr of a Python float, None empty, the rest as str."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(out: Path, name: str, header, rows) -> None:
+    lines = [",".join(_csv_cell(v) for v in row) for row in (header, *rows)]
+    _write_text(out, name, "\n".join(lines) + "\n")
+
+
 def _write_manifest(out: Path, cfg: ExperimentConfig, command: str,
                     input_paths: list[Path], extra: dict | None = None) -> None:
+    """Write config.txt, then manifest.json with the hash of every other file."""
+    _write_text(out, "config.txt", cfg.config_text)
     manifest = {
         "command": command,
         "seed": cfg.seed,
@@ -280,8 +337,10 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, command: str,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     manifest.update(extra or {})
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out / "config.txt").write_text(cfg.config_text)
+    manifest["output_sha256"] = {
+        p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"
+    }
+    _write_json(out, "manifest.json", manifest)
 
 
 def _progress_printer(stream=sys.stderr):
@@ -304,7 +363,7 @@ def _progress_printer(stream=sys.stderr):
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     input_paths = _existing_paths(cfg, need_model=False)
-    out = _unique_dir(cfg.get("out", "runs/pretrain") if args.out is None else args.out)
+    out = _run_dir(args, cfg, "runs/pretrain")
     ds = load_dataset(cfg)
     train_cfg = cfg.train_config()
     latent = cfg.get("latent_dim", 10)
@@ -319,27 +378,23 @@ def cmd_pretrain(args) -> int:
 
     final_loss = pretrain(encoder, decoder, ds.features, train_cfg, progress=log_epoch)
 
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "model.bin"
-    save_model(model_path, encoder, decoder)
-    (out / "pretrain_log.json").write_text(
-        json.dumps({"epochs": epochs_log, "final_reconstruction_loss": final_loss},
-                   indent=2) + "\n"
-    )
+    _save(out, lambda path: save_model(path, encoder, decoder), "model.bin")
+    _write_json(out, "pretrain_log.json",
+                {"epochs": epochs_log, "final_reconstruction_loss": final_loss})
     _write_manifest(out, cfg, "pretrain", input_paths)
-    print(f"model written to {model_path} (final reconstruction loss {final_loss:.6f})")
+    print(f"model written to {out / 'model.bin'} (final reconstruction loss {final_loss:.6f})")
     return 0
 
 
-def _final_metrics(ds: Dataset, assignments: np.ndarray) -> dict | None:
-    if ds.labels is None:
+def _final_metrics(labels: np.ndarray | None, assignments: np.ndarray) -> dict | None:
+    if labels is None:
         return None
-    acc, mapping = metrics.accuracy(ds.labels, assignments)
-    ari = metrics.adjusted_rand_index(ds.labels, assignments)
+    acc, mapping = metrics.accuracy(labels, assignments)
+    ari = metrics.adjusted_rand_index(labels, assignments)
     per_class = {}
-    for cls in sorted(np.unique(ds.labels).tolist()):
+    for cls in sorted(np.unique(labels).tolist()):
         recall, precision, f_measure = metrics.per_class_prf(
-            ds.labels, assignments, mapping, cls
+            labels, assignments, mapping, cls
         )
         per_class[int(cls)] = {
             "recall": recall, "precision": precision, "f_measure": f_measure,
@@ -348,37 +403,29 @@ def _final_metrics(ds: Dataset, assignments: np.ndarray) -> dict | None:
             "per_class": per_class}
 
 
-def _write_metrics_csv(path: Path, final: dict) -> None:
-    lines = ["metric,class,value"]
-    lines.append(f"acc,,{final['acc']!r}")
-    lines.append(f"ari,,{final['ari']!r}")
+def _write_metrics_csv(out: Path, final: dict) -> None:
+    rows = [("acc", None, final["acc"]), ("ari", None, final["ari"])]
     for cls, prf in final["per_class"].items():
-        for key in ("recall", "precision", "f_measure"):
-            lines.append(f"{key},{cls},{prf[key]!r}")
-    path.write_text("\n".join(lines) + "\n")
+        rows += [(key, cls, prf[key]) for key in ("recall", "precision", "f_measure")]
+    _write_csv(out, "metrics.csv", ("metric", "class", "value"), rows)
 
 
-def _write_curves_csv(path: Path, report) -> None:
+def _curve_rows(report):
     # acc is the most recent checkpoint value at each iteration (step curve)
     acc_at = {c.iteration: c.acc for c in report.checkpoints}
-    lines = ["iteration,clustering_loss,vat_loss,total_loss,acc"]
-    current_acc = ""
+    current_acc = None
     for rec in report.iterations:
-        if rec.iteration in acc_at and acc_at[rec.iteration] is not None:
-            current_acc = repr(acc_at[rec.iteration])
-        lines.append(
-            f"{rec.iteration},{rec.clustering_loss!r},{rec.vat_loss!r},"
-            f"{rec.total_loss!r},{current_acc}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+        if acc_at.get(rec.iteration) is not None:
+            current_acc = acc_at[rec.iteration]
+        yield rec.iteration, rec.clustering_loss, rec.vat_loss, rec.total_loss, current_acc
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     method = cfg.method
-    needs_model = method in ("dec", "rdec", "ae_kmeans")
+    needs_model = method in ENCODER_METHODS
     input_paths = _existing_paths(cfg, need_model=needs_model)
-    out = _unique_dir(cfg.get("out", "runs/train") if args.out is None else args.out)
+    out = _run_dir(args, cfg, "runs/train")
 
     ds = load_dataset(cfg)
     train_cfg = cfg.train_config()
@@ -401,28 +448,24 @@ def cmd_train(args) -> int:
         labels=ds.labels, progress=_progress_printer(),
     )
 
-    out.mkdir(parents=True, exist_ok=True)
-    final = _final_metrics(ds, assignments)
+    final = _final_metrics(ds.labels, assignments)
     payload = report.to_dict()
     payload["final_metrics"] = final
     payload["n"] = ds.n
     payload["k"] = k
-    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    (out / "assignments.csv").write_text(
-        "assignment\n" + "\n".join(str(int(a)) for a in assignments) + "\n"
-    )
+    _write_json(out, "report.json", payload)
+    _write_csv(out, "assignments.csv", ("assignment",), ((a,) for a in assignments))
     if final is not None:
-        _write_metrics_csv(out / "metrics.csv", final)
-    _write_curves_csv(out / "curves.csv", report)
+        _write_metrics_csv(out, final)
+    _write_csv(out, "curves.csv",
+               ("iteration", "clustering_loss", "vat_loss", "total_loss", "acc"),
+               _curve_rows(report))
     if encoder is not None and encoder.output_dim == 2:
         z = encode(encoder, ds.features)
-        lines = ["z0,z1,assignment" + (",label" if ds.labels is not None else "")]
-        for i in range(ds.n):
-            row = f"{z[i, 0]!r},{z[i, 1]!r},{int(assignments[i])}"
-            if ds.labels is not None:
-                row += f",{int(ds.labels[i])}"
-            lines.append(row)
-        (out / "embeddings.csv").write_text("\n".join(lines) + "\n")
+        columns = {"z0": z[:, 0], "z1": z[:, 1], "assignment": assignments}
+        if ds.labels is not None:
+            columns["label"] = ds.labels
+        _write_csv(out, "embeddings.csv", columns, zip(*columns.values()))
     _write_manifest(out, cfg, "train", input_paths)
 
     summary = f"method {method}: stop {report.stop_reason}, " \
@@ -457,17 +500,14 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"length mismatch: {len(assignments)} assignments vs {len(labels)} labels"
         )
-    ds = Dataset(features=np.zeros((len(labels), 1)), labels=labels)
-    final = _final_metrics(ds, assignments)
+    final = _final_metrics(labels, assignments)
     print(f"acc: {final['acc']:.6f}")
     print(f"ari: {final['ari']:.6f}")
     print("class,recall,precision,f_measure")
     for cls, prf in final["per_class"].items():
         print(f"{cls},{prf['recall']:.6f},{prf['precision']:.6f},{prf['f_measure']:.6f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_metrics_csv(out / "metrics.csv", final)
+        _write_metrics_csv(Path(args.out), final)
     return 0
 
 
@@ -476,47 +516,33 @@ def cmd_subsample(args) -> int:
     if cfg.get("subsample.mode") is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
     input_paths = _existing_paths(cfg, need_model=False)
-    out = _unique_dir(cfg.get("out", "runs/subsample") if args.out is None else args.out)
+    out = _run_dir(args, cfg, "runs/subsample")
 
     full = _load_filtered(cfg)
     spec = _subsample_spec(cfg)
     reduced = subsample(full, spec)
 
-    out.mkdir(parents=True, exist_ok=True)
-    fmt = cfg.require("data.format")
-    if fmt == "idx":
-        files = {
-            "images": str(out / "images-idx3-ubyte"),
-            "labels": str(out / "labels-idx1-ubyte"),
-        }
-        save_idx(reduced, files["images"], files["labels"])
-    else:
-        files = {"csv": str(out / "data.csv")}
-        save_csv(reduced, files["csv"])
+    source = _data_source(cfg)
+    _save(out, lambda *paths: source.save(reduced, *paths), *source.outputs.values())
     _write_manifest(
         out, cfg, "subsample", input_paths,
         extra={
             "subsample": vars(spec),
             "class_counts_before": full.class_counts,
             "class_counts_after": reduced.class_counts,
-            "output_files": files,
+            "output_files": {key: str(out / name) for key, name in source.outputs.items()},
         },
     )
     print(f"subsampled {full.n} -> {reduced.n} rows; outputs in {out}")
     return 0
 
 
+# Config keys that command-line flags of the train command override.
+OVERRIDE_KEYS = ("seed", "method", "gamma", "epsilon", "s", "tau", "max_iter")
+
+
 def _overrides(args) -> dict:
-    mapping = {
-        "seed": getattr(args, "seed", None),
-        "method": getattr(args, "method", None),
-        "gamma": getattr(args, "gamma", None),
-        "epsilon": getattr(args, "epsilon", None),
-        "s": getattr(args, "s", None),
-        "tau": getattr(args, "tau", None),
-        "max_iter": getattr(args, "max_iter", None),
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    return {key: getattr(args, key, None) for key in OVERRIDE_KEYS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,24 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_train_flags=False):
+    def add_common(p, overrides=("seed",)):
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        if with_train_flags:
-            p.add_argument("--method", choices=METHODS, default=None)
-            p.add_argument("--gamma", type=float, default=None)
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--s", type=float, default=None)
-            p.add_argument("--tau", type=int, default=None)
-            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        for key in overrides:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=SCHEMA[key][0],
+                           default=None, help=f"override config {key}")
 
     p_pre = sub.add_parser("pretrain", help="train the autoencoder, write a model file")
     add_common(p_pre)
     p_pre.set_defaults(func=cmd_pretrain)
 
     p_train = sub.add_parser("train", help="run a clustering method, write a run directory")
-    add_common(p_train, with_train_flags=True)
+    add_common(p_train, OVERRIDE_KEYS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score an assignments file against labels")

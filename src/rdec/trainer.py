@@ -17,7 +17,7 @@ their traces are bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,7 @@ from .tensor import Matrix, check_finite, mse_loss
 from .vat import VatConfig, adversarial_perturbation, vat_loss
 
 METHODS = ("kmeans", "ae_kmeans", "dec", "rdec")
+ENCODER_METHODS = ("ae_kmeans", "dec", "rdec")  # need a pretrained encoder
 
 # Generator stream tags; every consumer derives from (seed, tag, ...).
 _STREAM_PRETRAIN = 1
@@ -78,9 +79,6 @@ class TrainConfig:
         default_factory=lambda: OptimizerSpec(kind="sgd_momentum", lr=0.01, momentum=0.9)
     )
     kmeans_restarts: int = 20
-    # Optional extra stop: quit when the best batch clustering loss has not
-    # improved for this many consecutive iterations. 0 disables.
-    patience: int = 0
     seed: int = 0
 
     def validate(self) -> None:
@@ -102,8 +100,6 @@ class TrainConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.pretrain_epochs < 0:
             raise ValueError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.pretrain_optimizer.__post_init__()
@@ -139,15 +135,9 @@ class RunReport:
     wall_clock_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": [vars(r) for r in self.iterations],
-            "checkpoints": [vars(c) for c in self.checkpoints],
-            "final_assignments": self.final_assignments.tolist(),
-            "final_centroids": self.final_centroids.tolist(),
-            "stop_reason": self.stop_reason,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        """Every field, records as dicts and arrays as nested lists."""
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in asdict(self).items()}
 
 
 class ClusterModel:
@@ -210,6 +200,20 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield perm[start : start + batch_size]
+
+
+def _kmeans(points: Matrix, k: int, cfg: TrainConfig):
+    """Best of ``cfg.kmeans_restarts`` K-means runs, seeded from the config seed."""
+    seed = int(np.random.SeedSequence([cfg.seed, _STREAM_KMEANS]).generate_state(1)[0])
+    return kmeans(points, k, restarts=cfg.kmeans_restarts, seed=seed)
+
+
+def _scores(labels, assignments) -> tuple[float | None, float | None]:
+    """(ACC, ARI) of the assignments, or (None, None) without labels."""
+    if labels is None:
+        return None, None
+    acc, _ = metrics.accuracy(labels, assignments)
+    return acc, metrics.adjusted_rand_index(labels, assignments)
 
 
 def _endless_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -289,8 +293,7 @@ def finetune(
     t0 = time.perf_counter()
 
     z = encode(encoder, data)
-    km_seed = int(np.random.SeedSequence([cfg.seed, _STREAM_KMEANS]).generate_state(1)[0])
-    km = kmeans(z, k, restarts=cfg.kmeans_restarts, seed=km_seed)
+    km = _kmeans(z, k, cfg)
     centroids = km.centroids.copy()
     model = ClusterModel(encoder, centroids, cfg.alpha)
     params = model.parameters()
@@ -306,9 +309,6 @@ def finetune(
     prev_assign: np.ndarray | None = None
     assignments: np.ndarray | None = None
     stop_reason = "max_iterations"
-    assignments_fresh = False
-    best_batch_loss = np.inf
-    stale = 0
 
     for it in range(cfg.max_iter):
         if it % cfg.tau == 0:
@@ -317,10 +317,7 @@ def finetune(
             assignments = q_full.argmax(axis=1)
             target_full = target_distribution(q_full, cfg.s)
             ckpt_loss = kl_divergence(target_full.p, q_full) / n
-            acc = ari = None
-            if labels is not None:
-                acc, _ = metrics.accuracy(labels, assignments)
-                ari = metrics.adjusted_rand_index(labels, assignments)
+            acc, ari = _scores(labels, assignments)
             rate = None if prev_assign is None else label_change_rate(prev_assign, assignments)
             checkpoints.append(CheckpointRecord(it, ckpt_loss, acc, ari, rate))
             if progress is not None:
@@ -330,7 +327,6 @@ def finetune(
                 })
             if rate is not None and rate < cfg.sigma:
                 stop_reason = "converged"
-                assignments_fresh = True
                 break
             prev_assign = assignments
 
@@ -356,17 +352,7 @@ def finetune(
                             clustering + cfg.gamma * consistency)
         )
 
-        if cfg.patience > 0:
-            if clustering < best_batch_loss:
-                best_batch_loss = clustering
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    stop_reason = "converged"
-                    break
-
-    if not assignments_fresh:
+    if stop_reason == "max_iterations":  # the last refresh is stale
         assignments = model.predict(data).argmax(axis=1)
 
     report = RunReport(
@@ -393,25 +379,16 @@ def run_clustering(
     """Uniform entry point for all methods, baselines included."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method in ENCODER_METHODS and encoder is None:
+        raise ValueError(f"method {method} needs a pretrained encoder")
     if method in ("dec", "rdec"):
-        if encoder is None:
-            raise ValueError(f"method {method} needs a pretrained encoder")
         return finetune(encoder, data, k, replace(cfg, method=method),
                         labels=labels, progress=progress)
 
     t0 = time.perf_counter()
-    if method == "ae_kmeans":
-        if encoder is None:
-            raise ValueError("method ae_kmeans needs a pretrained encoder")
-        points = encode(encoder, data)
-    else:
-        points = data
-    km_seed = int(np.random.SeedSequence([cfg.seed, _STREAM_KMEANS]).generate_state(1)[0])
-    km = kmeans(points, k, restarts=cfg.kmeans_restarts, seed=km_seed)
-    acc = ari = None
-    if labels is not None:
-        acc, _ = metrics.accuracy(labels, km.assignments)
-        ari = metrics.adjusted_rand_index(labels, km.assignments)
+    points = encode(encoder, data) if method == "ae_kmeans" else data
+    km = _kmeans(points, k, cfg)
+    acc, ari = _scores(labels, km.assignments)
     report = RunReport(
         method=method,
         iterations=[],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_idx
+from rdec.network import encode, load_model
 from rdec.trainer import OptimizerSpec, TrainConfig
 from rdec.vat import VatConfig
 
@@ -133,6 +135,30 @@ class TestTrainCommand:
         assert curves[0] == "iteration,clustering_loss,vat_loss,total_loss,acc"
         assert len(curves) >= 2
 
+    def test_embeddings_are_the_encoder_outputs(self, tmp_path, idx_fixture, pretrained):
+        # ae_kmeans leaves the loaded encoder unchanged, so the dump must equal its encode
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
+        out = tmp_path / "ae"
+        assert main(["train", "--config", str(cfg), "--method", "ae_kmeans",
+                     "--out", str(out)]) == 0
+        rows = (out / "embeddings.csv").read_text().splitlines()[1:]
+        z = np.array([[float(cell) for cell in row.split(",")[:2]] for row in rows])
+        encoder, _ = load_model(pretrained)
+        expected = encode(encoder, load_idx(*idx_fixture).features)
+        assert z.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("keys", [("data.images",), ("data.labels",),
+                                      ("data.images", "data.labels")])
+    def test_empty_file_list_exits_2(self, tmp_path, idx_fixture, capsys, keys):
+        img, lab = idx_fixture
+        cfg = write_config(tmp_path, ("," if "data.images" in keys else img,
+                                      "," if "data.labels" in keys else lab))
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+                     "--out", str(out)]) == 2
+        assert keys[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_and_gamma_overrides(self, tmp_path, idx_fixture, pretrained):
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
         out = tmp_path / "dec"
@@ -198,7 +224,6 @@ tau = 9
 sigma = 0.2
 max_iter = 33
 batch_size = 17
-patience = 5
 pretrain.epochs = 11
 pretrain.optimizer = adam
 pretrain.lr = 0.003
@@ -214,7 +239,7 @@ kmeans.restarts = 3
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
     method="dec", seed=7, gamma=0.5, s=3.0,
     vat=VatConfig(epsilon=0.25, xi=4.0, ip=2),
-    tau=9, sigma=0.2, max_iter=33, batch_size=17, patience=5, pretrain_epochs=11,
+    tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
     pretrain_optimizer=OptimizerSpec(kind="adam", lr=0.003, momentum=0.8,
                                      beta1=0.7, beta2=0.99),
     finetune_optimizer=OptimizerSpec(kind="adam", lr=0.002, momentum=0.6),
@@ -320,6 +345,33 @@ class TestSubsampleCommand:
     def test_requires_mode(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)
         assert main(["subsample", "--config", str(cfg)]) == 2
+
+
+class TestRunDirectory:
+    def test_failed_write_leaves_no_file(self, tmp_path, idx_fixture, monkeypatch):
+        def broken_save_model(path, encoder, decoder):
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+            raise RuntimeError("write failed")
+
+        monkeypatch.setattr("rdec.cli.save_model", broken_save_model)
+        cfg = write_config(tmp_path, idx_fixture)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 1
+        left = list(out.iterdir()) if out.exists() else []
+        assert left == []
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    def test_manifest_hashes_every_output(self, tmp_path, idx_fixture, pretrained, command):
+        extra = "subsample.mode = explicit_counts\nsubsample.counts = 10,25\n"
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
+                           extra=extra if command == "subsample" else "")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        hashes = json.loads((out / "manifest.json").read_text())["output_sha256"]
+        assert set(hashes) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        for name, digest in hashes.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestProcessLevel:
