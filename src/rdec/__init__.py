@@ -14,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public name -> home submodule; resolved on first attribute access.
+# Public name -> home submodule; resolved on first attribute access. No name
+# repeats a submodule's, so ``rdec.kmeans`` is always the module.
 _EXPORTS = {
     "Dataset": "data",
     "SubsampleSpec": "data",
@@ -25,7 +26,6 @@ _EXPORTS = {
     "soft_assign": "dec",
     "target_distribution": "dec",
     "KMeansResult": "kmeans",
-    "kmeans": "kmeans",
     "accuracy": "metrics",
     "adjusted_rand_index": "metrics",
     "per_class_prf": "metrics",
@@ -49,6 +49,8 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
+    if name in _EXPORTS.values():
+        return importlib.import_module(f".{name}", __name__)
     if name in _EXPORTS:
         module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
         value = getattr(module, name)

@@ -4,9 +4,10 @@ Configs are flat ``key = value`` text files (``#`` starts a comment);
 unknown keys are rejected. Shipped baseline configs live in ``configs/``.
 Every run directory is self-describing: it holds a copy of the config,
 the resolved settings, the seed, and content hashes of all input files
-and of every file it holds, each written to a temp name and renamed.
-Existing run directories are never overwritten; a timestamp suffix is
-appended instead.
+and of every file it holds. It appears whole or not at all: its files go
+to a hidden staging directory beside it, ``manifest.json`` last, and one
+rename publishes it. Existing run directories, ``eval --out``'s included,
+are never overwritten; a timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
@@ -30,8 +31,11 @@ _pin_threads()  # must run before numpy initializes its BLAS
 import argparse
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -137,6 +141,7 @@ class ExperimentConfig:
     settings: dict = field(default_factory=dict)
     config_text: str = ""
     config_path: str | None = None
+    train: TrainConfig = field(init=False)
 
     def get(self, key, default=None):
         return self.settings.get(key, default)
@@ -146,16 +151,9 @@ class ExperimentConfig:
             raise ConfigError(f"config key {key!r} is missing or empty")
         return self.settings[key]
 
-    @property
-    def seed(self) -> int:
-        return self.train_config().seed
-
-    @property
-    def method(self) -> str:
-        return self.train_config().method
-
-    def train_config(self) -> TrainConfig:
-        """TrainConfig defaults, overridden by the training keys present."""
+    def __post_init__(self):
+        """Set ``train``: TrainConfig defaults, overridden by the training keys
+        present, then validated."""
         cfg = TrainConfig()
         try:
             for key, value in self.settings.items():
@@ -165,7 +163,7 @@ class ExperimentConfig:
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return cfg
+        self.train = cfg
 
 
 def _replace_field(obj, field_path: str, value):
@@ -185,9 +183,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             settings[key] = value
-    cfg = ExperimentConfig(settings=settings, config_text=text, config_path=str(path))
-    cfg.train_config()  # validate before any compute
-    return cfg
+    return ExperimentConfig(settings=settings, config_text=text, config_path=str(path))
 
 
 class DataSource(NamedTuple):
@@ -227,9 +223,10 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
     raise ConfigError(f"unknown data.format {fmt!r}")
 
 
-def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
+def _existing_paths(cfg: ExperimentConfig, source: DataSource, *,
+                    need_model: bool) -> list[Path]:
     """Validate that every input file exists; returns them for hashing."""
-    paths = _data_source(cfg).files
+    paths = list(source.files)
     if need_model:
         paths.append(Path(cfg.require("model")))
     missing = [str(p) for p in paths if not p.is_file()]
@@ -238,9 +235,9 @@ def _existing_paths(cfg: ExperimentConfig, *, need_model: bool) -> list[Path]:
     return paths
 
 
-def _load_filtered(cfg: ExperimentConfig) -> Dataset:
+def _load_filtered(cfg: ExperimentConfig, source: DataSource) -> Dataset:
     """Load the dataset files and keep the configured classes, if any."""
-    ds = _data_source(cfg).load()
+    ds = source.load()
     classes = cfg.get("data.classes")
     if classes:
         ds = filter_classes(ds, classes)
@@ -253,13 +250,13 @@ def _subsample_spec(cfg: ExperimentConfig) -> SubsampleSpec:
         r_min=cfg.get("subsample.r_min", 1.0),
         target_class=cfg.get("subsample.target_class"),
         counts=cfg.get("subsample.counts"),
-        seed=cfg.get("subsample.seed", cfg.seed),
+        seed=cfg.get("subsample.seed", cfg.train.seed),
     )
 
 
-def load_dataset(cfg: ExperimentConfig) -> Dataset:
+def load_dataset(cfg: ExperimentConfig, source: DataSource) -> Dataset:
     """Load, optionally class-filter, and optionally subsample the dataset."""
-    ds = _load_filtered(cfg)
+    ds = _load_filtered(cfg, source)
     if cfg.get("subsample.mode"):
         ds = subsample(ds, _subsample_spec(cfg))
     return ds
@@ -273,41 +270,38 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _run_dir(args, cfg: ExperimentConfig, default: str) -> Path:
-    """``--out``, else the ``out`` key, else ``default``, made unique."""
-    base = cfg.get("out", default) if args.out is None else args.out
-    path = Path(base)
-    if not path.exists():
-        return path
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = Path(f"{base}-{stamp}")
-    counter = 0
-    while candidate.exists():
-        counter += 1
-        candidate = Path(f"{base}-{stamp}-{counter}")
-    return candidate
+@contextmanager
+def _publish(args, cfg: ExperimentConfig | None = None, default: str | None = None):
+    """Stage a run directory and publish it whole with one rename.
 
-
-def _save(out: Path, save: Callable[..., None], *names: str) -> None:
-    """Write run files atomically: ``save`` fills one temp path per name in
-    ``out``, then each is renamed to its name. A failure leaves neither."""
-    out.mkdir(parents=True, exist_ok=True)
-    temps = [out / f".tmp-{name}" for name in names]
+    The target ``out`` is ``--out``, else the ``out`` key, else ``default``,
+    with a timestamp suffix if it exists. Yields ``(stage, out)``: the block
+    writes its files into ``stage``, a hidden directory beside ``out``, which
+    is renamed to ``out`` when the block ends, or removed if it raises.
+    """
+    base = Path(cfg.get("out", default) if args.out is None else args.out)
+    out = base  # as a Path, a trailing slash cannot put the suffix inside base
+    if out.exists():
+        stamp = time.strftime("%Y%m%d-%H%M%S")
+        out = Path(f"{base}-{stamp}")
+        counter = 0
+        while out.exists():
+            counter += 1
+            out = Path(f"{base}-{stamp}-{counter}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
     try:
-        save(*temps)
-        for tmp, name in zip(temps, names):
-            os.replace(tmp, out / name)
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)  # the mode mkdir gives; mkdtemp's is 0o700
+        yield stage, out
+        os.rename(stage, out)
     finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_text(out: Path, name: str, text: str) -> None:
-    _save(out, lambda path: path.write_text(text), name)
-
-
-def _write_json(out: Path, name: str, payload) -> None:
-    _write_text(out, name, json.dumps(payload, indent=2) + "\n")
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -319,28 +313,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(out: Path, name: str, header, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(_csv_cell(v) for v in row) for row in (header, *rows)]
-    _write_text(out, name, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, command: str,
                     input_paths: list[Path], extra: dict | None = None) -> None:
     """Write config.txt, then manifest.json with the hash of every other file."""
-    _write_text(out, "config.txt", cfg.config_text)
+    (out / "config.txt").write_text(cfg.config_text)
     manifest = {
         "command": command,
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
         "config_file": cfg.config_path,
         "settings": {k: cfg.settings[k] for k in sorted(cfg.settings)},
         "input_sha256": {str(p): _sha256(p) for p in input_paths},
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     manifest.update(extra or {})
-    manifest["output_sha256"] = {
-        p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"
-    }
-    _write_json(out, "manifest.json", manifest)
+    manifest["output_sha256"] = {p.name: _sha256(p) for p in sorted(out.iterdir())}
+    _write_json(out / "manifest.json", manifest)
 
 
 def _progress_printer(stream=sys.stderr):
@@ -362,12 +354,11 @@ def _progress_printer(stream=sys.stderr):
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    input_paths = _existing_paths(cfg, need_model=False)
-    out = _run_dir(args, cfg, "runs/pretrain")
-    ds = load_dataset(cfg)
-    train_cfg = cfg.train_config()
+    source = _data_source(cfg)
+    input_paths = _existing_paths(cfg, source, need_model=False)
+    ds = load_dataset(cfg, source)
     latent = cfg.get("latent_dim", 10)
-    encoder, decoder = build_network(ds.dim, latent, cfg.seed)
+    encoder, decoder = build_network(ds.dim, latent, cfg.train.seed)
 
     epochs_log: list[dict] = []
     printer = _progress_printer()
@@ -376,12 +367,13 @@ def cmd_pretrain(args) -> int:
         epochs_log.append({"epoch": event["epoch"], "loss": event["loss"]})
         printer(event)
 
-    final_loss = pretrain(encoder, decoder, ds.features, train_cfg, progress=log_epoch)
+    final_loss = pretrain(encoder, decoder, ds.features, cfg.train, progress=log_epoch)
 
-    _save(out, lambda path: save_model(path, encoder, decoder), "model.bin")
-    _write_json(out, "pretrain_log.json",
-                {"epochs": epochs_log, "final_reconstruction_loss": final_loss})
-    _write_manifest(out, cfg, "pretrain", input_paths)
+    with _publish(args, cfg, "runs/pretrain") as (stage, out):
+        save_model(stage / "model.bin", encoder, decoder)
+        _write_json(stage / "pretrain_log.json",
+                    {"epochs": epochs_log, "final_reconstruction_loss": final_loss})
+        _write_manifest(stage, cfg, "pretrain", input_paths)
     print(f"model written to {out / 'model.bin'} (final reconstruction loss {final_loss:.6f})")
     return 0
 
@@ -403,11 +395,11 @@ def _final_metrics(labels: np.ndarray | None, assignments: np.ndarray) -> dict |
             "per_class": per_class}
 
 
-def _write_metrics_csv(out: Path, final: dict) -> None:
+def _write_metrics_csv(path: Path, final: dict) -> None:
     rows = [("acc", None, final["acc"]), ("ari", None, final["ari"])]
     for cls, prf in final["per_class"].items():
         rows += [(key, cls, prf[key]) for key in ("recall", "precision", "f_measure")]
-    _write_csv(out, "metrics.csv", ("metric", "class", "value"), rows)
+    _write_csv(path, ("metric", "class", "value"), rows)
 
 
 def _curve_rows(report):
@@ -422,13 +414,12 @@ def _curve_rows(report):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    method = cfg.method
+    method = cfg.train.method
     needs_model = method in ENCODER_METHODS
-    input_paths = _existing_paths(cfg, need_model=needs_model)
-    out = _run_dir(args, cfg, "runs/train")
+    source = _data_source(cfg)
+    input_paths = _existing_paths(cfg, source, need_model=needs_model)
 
-    ds = load_dataset(cfg)
-    train_cfg = cfg.train_config()
+    ds = load_dataset(cfg, source)
     k = cfg.get("k", 10)
     encoder = None
     if needs_model:
@@ -444,7 +435,7 @@ def cmd_train(args) -> int:
             )
 
     assignments, report = run_clustering(
-        method, ds.features, k, train_cfg, encoder=encoder,
+        method, ds.features, k, cfg.train, encoder=encoder,
         labels=ds.labels, progress=_progress_printer(),
     )
 
@@ -453,20 +444,21 @@ def cmd_train(args) -> int:
     payload["final_metrics"] = final
     payload["n"] = ds.n
     payload["k"] = k
-    _write_json(out, "report.json", payload)
-    _write_csv(out, "assignments.csv", ("assignment",), ((a,) for a in assignments))
-    if final is not None:
-        _write_metrics_csv(out, final)
-    _write_csv(out, "curves.csv",
-               ("iteration", "clustering_loss", "vat_loss", "total_loss", "acc"),
-               _curve_rows(report))
-    if encoder is not None and encoder.output_dim == 2:
-        z = encode(encoder, ds.features)
-        columns = {"z0": z[:, 0], "z1": z[:, 1], "assignment": assignments}
-        if ds.labels is not None:
-            columns["label"] = ds.labels
-        _write_csv(out, "embeddings.csv", columns, zip(*columns.values()))
-    _write_manifest(out, cfg, "train", input_paths)
+    with _publish(args, cfg, "runs/train") as (stage, out):
+        _write_json(stage / "report.json", payload)
+        _write_csv(stage / "assignments.csv", ("assignment",), ((a,) for a in assignments))
+        if final is not None:
+            _write_metrics_csv(stage / "metrics.csv", final)
+        _write_csv(stage / "curves.csv",
+                   ("iteration", "clustering_loss", "vat_loss", "total_loss", "acc"),
+                   _curve_rows(report))
+        if encoder is not None and encoder.output_dim == 2:
+            z = encode(encoder, ds.features)
+            columns = {"z0": z[:, 0], "z1": z[:, 1], "assignment": assignments}
+            if ds.labels is not None:
+                columns["label"] = ds.labels
+            _write_csv(stage / "embeddings.csv", columns, zip(*columns.values()))
+        _write_manifest(stage, cfg, "train", input_paths)
 
     summary = f"method {method}: stop {report.stop_reason}, " \
               f"{report.wall_clock_seconds:.1f}s"
@@ -507,7 +499,9 @@ def cmd_eval(args) -> int:
     for cls, prf in final["per_class"].items():
         print(f"{cls},{prf['recall']:.6f},{prf['precision']:.6f},{prf['f_measure']:.6f}")
     if args.out:
-        _write_metrics_csv(Path(args.out), final)
+        with _publish(args) as (stage, out):
+            _write_metrics_csv(stage / "metrics.csv", final)
+        print(f"metrics written to {out / 'metrics.csv'}")
     return 0
 
 
@@ -515,24 +509,25 @@ def cmd_subsample(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     if cfg.get("subsample.mode") is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
-    input_paths = _existing_paths(cfg, need_model=False)
-    out = _run_dir(args, cfg, "runs/subsample")
+    source = _data_source(cfg)
+    input_paths = _existing_paths(cfg, source, need_model=False)
 
-    full = _load_filtered(cfg)
+    full = _load_filtered(cfg, source)
     spec = _subsample_spec(cfg)
     reduced = subsample(full, spec)
 
-    source = _data_source(cfg)
-    _save(out, lambda *paths: source.save(reduced, *paths), *source.outputs.values())
-    _write_manifest(
-        out, cfg, "subsample", input_paths,
-        extra={
-            "subsample": vars(spec),
-            "class_counts_before": full.class_counts,
-            "class_counts_after": reduced.class_counts,
-            "output_files": {key: str(out / name) for key, name in source.outputs.items()},
-        },
-    )
+    with _publish(args, cfg, "runs/subsample") as (stage, out):
+        source.save(reduced, *(stage / name for name in source.outputs.values()))
+        _write_manifest(
+            stage, cfg, "subsample", input_paths,
+            extra={
+                "subsample": vars(spec),
+                "class_counts_before": full.class_counts,
+                "class_counts_after": reduced.class_counts,
+                "output_files": {key: str(out / name)
+                                 for key, name in source.outputs.items()},
+            },
+        )
     print(f"subsampled {full.n} -> {reduced.n} rows; outputs in {out}")
     return 0
 

@@ -1,9 +1,10 @@
 """Dataset ingestion (IDX image files, labeled CSV) and imbalanced subsampling.
 
-IDX reads are big-endian and magic-checked, transparently gunzipping when
-the file starts with the gzip signature. Pixels are scaled to [0, 1] by
-dividing by 255; that normalization is the contract the reconstruction
-loss and the shipped defaults assume.
+IDX reads are big-endian and magic-checked. Readers gunzip transparently
+when the file starts with the gzip signature; ``save_csv`` gzips when the
+name ends in ``.gz``. Pixels are scaled to [0, 1] by dividing by 255; that
+normalization is the contract the reconstruction loss and the shipped
+defaults assume.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ class SubsampleSpec:
             raise ValueError("explicit_counts mode needs counts")
 
 
-def _open_maybe_gzip(path):
+def _open_maybe_gzip(path, mode="rb", **text_options):
     with open(path, "rb") as probe:
         head = probe.read(2)
     if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        return gzip.open(path, mode, **text_options)
+    return open(path, mode, **text_options)
 
 
 def _read_be32(fh, path, what: str) -> int:
@@ -157,8 +158,7 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     When label_column is given, that column becomes the integer labels and
     the remaining columns the features.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", newline="") as fh:
+    with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

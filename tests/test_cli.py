@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from rdec import cli
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_idx
 from rdec.network import encode, load_model
@@ -174,8 +175,11 @@ class TestTrainCommand:
         out = tmp_path / "same"
         main(["train", "--config", str(cfg), "--method", "kmeans", "--out", str(out)])
         main(["train", "--config", str(cfg), "--method", "kmeans", "--out", str(out)])
+        # a trailing slash must not put the suffixed run inside the existing one
+        main(["train", "--config", str(cfg), "--method", "kmeans", "--out", f"{out}/"])
         siblings = [p for p in tmp_path.iterdir() if p.name.startswith("same")]
-        assert len(siblings) == 2
+        assert len(siblings) == 3
+        assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_latent_dim_mismatch_exits_2(self, tmp_path, idx_fixture, pretrained):
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
@@ -253,27 +257,52 @@ class TestTrainConfigMapping:
         path.write_text(NON_DEFAULT_TRAINING)
         cfg = load_config(path)
         assert set(cfg.settings) == {key for key, (_, dest) in SCHEMA.items() if dest}
-        train = cfg.train_config()
+        train = cfg.train
         assert train == NON_DEFAULT_TRAIN_CONFIG
-        assert (cfg.seed, cfg.method) == (7, "dec")
+        assert (cfg.train.seed, cfg.train.method) == (7, "dec")
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
-        assert ExperimentConfig().train_config() == TrainConfig()
+        assert ExperimentConfig().train == TrainConfig()
         path = tmp_path / "empty.cfg"
         path.write_text("# nothing set\n")
         cfg = load_config(path)
-        assert cfg.train_config() == TrainConfig()
-        assert (cfg.seed, cfg.method) == (TrainConfig().seed, TrainConfig().method)
+        assert cfg.train == TrainConfig()
+        assert (cfg.train.seed, cfg.train.method) == (TrainConfig().seed, TrainConfig().method)
 
     def test_each_key_changes_only_its_field(self):
         defaults = TrainConfig()
-        base = ExperimentConfig(settings={"epsilon": 0.5}).train_config()
+        base = ExperimentConfig(settings={"epsilon": 0.5}).train
         assert base.vat == VatConfig(epsilon=0.5)
         assert (base.pretrain_optimizer, base.finetune_optimizer) == (
             defaults.pretrain_optimizer, defaults.finetune_optimizer)
-        lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train_config()
+        lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train
         assert lr.pretrain_optimizer == OptimizerSpec(kind="sgd_momentum", lr=0.5)
         assert lr.finetune_optimizer == defaults.finetune_optimizer
+
+    @pytest.mark.parametrize("command, extra", [
+        ("pretrain", ""),
+        ("train", "method = kmeans\n"),
+        ("subsample", "subsample.mode = explicit_counts\nsubsample.counts = 10,25\n"),
+    ])
+    def test_each_command_resolves_its_inputs_once(self, tmp_path, idx_fixture,
+                                                   monkeypatch, command, extra):
+        calls = {"TrainConfig": 0, "_data_source": 0}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counting("TrainConfig")
+        counting("_data_source")
+        cfg = write_config(tmp_path, idx_fixture)
+        cfg.write_text(cfg.read_text().replace("method = rdec\n", "") + extra)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert calls == {"TrainConfig": 1, "_data_source": 1}
 
     def test_bad_vat_value_is_a_config_error(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture, extra="epsilon = 0\n")
@@ -299,6 +328,19 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         assert "ari: -0.500000" in printed
         assert (out_dir / "metrics.csv").is_file()
+
+    def test_out_never_overwrites(self, tmp_path, capsys):
+        (tmp_path / "assign.csv").write_text("0\n1\n0\n1\n")
+        (tmp_path / "labels.csv").write_text("0\n0\n1\n1\n")
+        out_dir = tmp_path / "m"
+        out_dir.mkdir()
+        (out_dir / "metrics.csv").write_text("old\n")
+        assert main(["eval", str(tmp_path / "assign.csv"),
+                     str(tmp_path / "labels.csv"), "--out", str(out_dir)]) == 0
+        assert (out_dir / "metrics.csv").read_text() == "old\n"
+        (sibling,) = [p for p in tmp_path.iterdir() if p.name.startswith("m-")]
+        assert (sibling / "metrics.csv").read_text().startswith("metric,class,value\n")
+        assert str(sibling / "metrics.csv") in capsys.readouterr().out
 
     def test_length_mismatch_exits_2(self, tmp_path):
         (tmp_path / "a.csv").write_text("0\n1\n")
@@ -358,8 +400,40 @@ class TestRunDirectory:
         cfg = write_config(tmp_path, idx_fixture)
         out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 1
-        left = list(out.iterdir()) if out.exists() else []
-        assert left == []
+        assert not out.exists()
+        assert list(tmp_path.glob(".pre-*")) == []
+        monkeypatch.undo()
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "pre"]
+
+    def test_failed_manifest_write_leaves_no_directory(self, tmp_path, idx_fixture,
+                                                       monkeypatch):
+        # report.json and the CSVs are written before the manifest fails
+        def broken_manifest(*args, **kwargs):
+            raise RuntimeError("manifest write failed")
+
+        monkeypatch.setattr("rdec.cli._write_manifest", broken_manifest)
+        cfg = write_config(tmp_path, idx_fixture)
+        out = tmp_path / "km"
+        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+                     "--out", str(out)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_default_run_dir_and_missing_parent(self, tmp_path, idx_fixture, monkeypatch):
+        # no --out and no out key: runs/pretrain, runs/ created on the way
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, idx_fixture)
+        assert main(["pretrain", "--config", str(cfg)]) == 0
+        assert main(["pretrain", "--config", str(cfg)]) == 0
+        first, second = sorted((tmp_path / "runs").iterdir())
+        assert first.name == "pretrain"
+        assert second.name.startswith("pretrain-")
+        for run in (first, second):
+            assert (run / "manifest.json").is_file()
+        # published with the mode mkdir gives, not mkdtemp's private 0o700
+        (tmp_path / "probe").mkdir()
+        assert first.stat().st_mode == (tmp_path / "probe").stat().st_mode
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
     def test_manifest_hashes_every_output(self, tmp_path, idx_fixture, pretrained, command):

@@ -152,6 +152,17 @@ class TestLoadCsv:
         back = load_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize("written, read", [("out.csv.gz", "out.csv"),
+                                               ("out.csv", "out.csv.gz")])
+    def test_gzip_is_sniffed_not_named(self, tmp_path, rng, written, read):
+        # gzipped content without the suffix, and plain content with it
+        ds = Dataset(features=rng.standard_normal((4, 2)), labels=np.arange(4))
+        save_csv(ds, tmp_path / written)
+        (tmp_path / written).rename(tmp_path / read)
+        back = load_csv(tmp_path / read, label_column="label")
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
 
 class TestFilterConcat:
     def test_filter_keeps_order(self):

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,3 +211,16 @@ def test_one_column_means_agree_to_round_off():
     np.testing.assert_allclose(got.centroids, want.centroids, rtol=0,
                                atol=tol * np.abs(points).max())
     assert got.inertia == pytest.approx(want.inertia, rel=tol)
+
+
+@pytest.mark.parametrize("first_import", ["import rdec", "import rdec.trainer"])
+def test_rdec_kmeans_is_the_module_in_any_import_order(first_import):
+    code = (
+        f"{first_import}; import rdec, types; "
+        "assert isinstance(rdec.kmeans, types.ModuleType), rdec.kmeans; "
+        "from rdec import kmeans; "
+        "assert kmeans is rdec.kmeans and callable(kmeans.kmeans); "
+        "assert rdec.KMeansResult is kmeans.KMeansResult"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
