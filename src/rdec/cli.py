@@ -2,12 +2,13 @@
 
 Configs are flat ``key = value`` text files (``#`` starts a comment);
 unknown keys are rejected. Shipped baseline configs live in ``configs/``.
-Every run directory is self-describing: it holds a copy of the config,
-the resolved settings, the seed, and content hashes of all input files
-and of every file it holds. It appears whole or not at all: its files go
-to a hidden staging directory beside it, ``manifest.json`` last, and one
-rename publishes it. Existing run directories, ``eval --out``'s included,
-are never overwritten; a timestamp suffix is appended instead.
+Every run directory is self-describing: it holds the command, content
+hashes of all input files and of every file it holds, and, for commands
+that read a config, a copy of it, the resolved settings and the seed. It
+appears whole or not at all: its files go to a hidden staging directory
+beside it, ``manifest.json`` last, and one rename publishes it. Existing
+run directories, ``eval --out``'s included, are never overwritten; a
+timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
@@ -37,7 +38,7 @@ import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -106,8 +107,6 @@ SCHEMA = {
     "pretrain.optimizer": (str, "pretrain_optimizer.kind"),
     "pretrain.lr": (float, "pretrain_optimizer.lr"),
     "pretrain.momentum": (float, "pretrain_optimizer.momentum"),
-    "pretrain.beta1": (float, "pretrain_optimizer.beta1"),
-    "pretrain.beta2": (float, "pretrain_optimizer.beta2"),
     "finetune.optimizer": (str, "finetune_optimizer.kind"),
     "finetune.lr": (float, "finetune_optimizer.lr"),
     "finetune.momentum": (float, "finetune_optimizer.momentum"),
@@ -215,10 +214,12 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
         )
     if fmt == "csv":
         path = cfg.require("data.path")
+        label_column = cfg.get("data.label_column")
         return DataSource(
             files=[Path(path)],
-            load=lambda: load_csv(path, cfg.get("data.label_column"), name=name),
-            outputs={"csv": "data.csv"}, save=save_csv,
+            load=lambda: load_csv(path, label_column, name=name),
+            outputs={"csv": "data.csv"},
+            save=partial(save_csv, label_column=label_column),
         )
     raise ConfigError(f"unknown data.format {fmt!r}")
 
@@ -318,18 +319,18 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, command: str,
+def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
                     input_paths: list[Path], extra: dict | None = None) -> None:
-    """Write config.txt, then manifest.json with the hash of every other file."""
-    (out / "config.txt").write_text(cfg.config_text)
-    manifest = {
-        "command": command,
-        "seed": cfg.train.seed,
-        "config_file": cfg.config_path,
-        "settings": {k: cfg.settings[k] for k in sorted(cfg.settings)},
-        "input_sha256": {str(p): _sha256(p) for p in input_paths},
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    """Write config.txt when there is a config, then manifest.json with the
+    hash of every other file."""
+    manifest = {"command": command}
+    if cfg is not None:
+        (out / "config.txt").write_text(cfg.config_text)
+        manifest["seed"] = cfg.train.seed
+        manifest["config_file"] = cfg.config_path
+        manifest["settings"] = {k: cfg.settings[k] for k in sorted(cfg.settings)}
+    manifest["input_sha256"] = {str(p): _sha256(p) for p in input_paths}
+    manifest["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest.update(extra or {})
     manifest["output_sha256"] = {p.name: _sha256(p) for p in sorted(out.iterdir())}
     _write_json(out / "manifest.json", manifest)
@@ -501,6 +502,7 @@ def cmd_eval(args) -> int:
     if args.out:
         with _publish(args) as (stage, out):
             _write_metrics_csv(stage / "metrics.csv", final)
+            _write_manifest(stage, None, "eval", [Path(args.assignments), Path(args.labels)])
         print(f"metrics written to {out / 'metrics.csv'}")
     return 0
 

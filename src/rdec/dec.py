@@ -10,8 +10,6 @@ it computed on the way, so one distance pass serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Matrix, ShapeMismatchError
@@ -23,13 +21,6 @@ class DegenerateClusterError(RuntimeError):
 
 class InfiniteDivergenceError(ValueError):
     """KL(p || q) has q = 0 where p > 0."""
-
-
-@dataclass
-class TargetDistribution:
-    p: Matrix  # (n, k), rows sum to 1
-    s: float
-    frequencies: np.ndarray  # column sums of q, length k
 
 
 def squared_distances(z: Matrix, centroids: Matrix) -> Matrix:
@@ -66,13 +57,13 @@ def soft_assign(z: Matrix, centroids: Matrix, alpha: float = 1.0) -> Matrix:
     return _distances_and_q(z, centroids, alpha)[1]
 
 
-def target_distribution(q: Matrix, s: float = 2.0) -> TargetDistribution:
-    """Sharpen soft assignments into the self-training target.
+def target_distribution(q: Matrix, s: float = 2.0) -> Matrix:
+    """Sharpen soft assignments into the self-training target p, shape (n, k).
 
     Each q is raised to the power s and divided by its soft cluster
-    frequency (column sum), then rows are renormalized. Raising s pushes
-    rows toward their argmax; the frequency division biases marginal
-    points toward less populated clusters.
+    frequency (column sum), then rows are renormalized to sum to 1.
+    Raising s pushes rows toward their argmax; the frequency division
+    biases marginal points toward less populated clusters.
     """
     if s < 1.0:
         raise ValueError(f"sharpening exponent must be >= 1, got {s}")
@@ -81,8 +72,7 @@ def target_distribution(q: Matrix, s: float = 2.0) -> TargetDistribution:
         dead = np.flatnonzero(frequencies <= 0.0).tolist()
         raise DegenerateClusterError(f"clusters {dead} have zero soft frequency")
     weighted = q**s / frequencies
-    p = weighted / weighted.sum(axis=1, keepdims=True)
-    return TargetDistribution(p=p, s=s, frequencies=frequencies)
+    return weighted / weighted.sum(axis=1, keepdims=True)
 
 
 def kl_divergence(p: Matrix, q: Matrix) -> float:

@@ -105,9 +105,9 @@ def forward(net: Network, x: Matrix) -> tuple[Matrix, list[Matrix]]:
     caches = [x]
     out = x
     for layer in net.layers:
-        out, _ = affine_forward(out, layer.weight, layer.bias)
+        out = affine_forward(out, layer.weight, layer.bias)
         if layer.activation == RELU:
-            out, _ = relu_forward(out)
+            out = relu_forward(out)
         caches.append(out)
     return out, caches
 

@@ -19,23 +19,13 @@ class ShapeMismatchError(ValueError):
     """Operands whose shapes cannot be combined."""
 
 
-def as_matrix(values) -> Matrix:
-    """Coerce to a C-contiguous float64 2-D array (1-D becomes one row)."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
 def check_finite(name: str, values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"{name} contains NaN or Inf entries")
 
 
-def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix, Matrix]:
-    """Compute ``x @ weight + bias`` per row; the returned cache is ``x`` itself."""
+def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> Matrix:
+    """Compute ``x @ weight + bias`` per row; the backward pass needs only ``x``."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeMismatchError(
             f"affine: input {x.shape} incompatible with weight {weight.shape}"
@@ -46,7 +36,7 @@ def affine_forward(x: Matrix, weight: Matrix, bias: np.ndarray) -> tuple[Matrix,
         )
     out = x @ weight
     out += bias
-    return out, x
+    return out
 
 
 def affine_backward(
@@ -68,11 +58,11 @@ def affine_backward(
     return grad_in, grad_weight, grad_bias
 
 
-def relu_forward(x: Matrix) -> tuple[Matrix, Matrix]:
-    """Elementwise max(0, x) in place: ``x`` is clamped and returned as both
-    the output and the cache (``out > 0`` exactly where ``x > 0`` was)."""
+def relu_forward(x: Matrix) -> Matrix:
+    """Elementwise max(0, x) in place: ``x`` is clamped and returned, and the
+    backward pass needs only it (``out > 0`` exactly where ``x > 0`` was)."""
     np.maximum(x, 0.0, out=x)
-    return x, x
+    return x
 
 
 def relu_backward(grad_out: Matrix, out: Matrix) -> Matrix:

@@ -46,8 +46,6 @@ class OptimizerSpec:
     kind: str = "sgd_momentum"  # or "adam"
     lr: float = 0.01
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
 
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
@@ -56,7 +54,7 @@ class OptimizerSpec:
     def make(self):
         self.__post_init__()
         if self.kind == "adam":
-            return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2)
+            return Adam(lr=self.lr)
         return SgdMomentum(lr=self.lr, momentum=self.momentum)
 
 
@@ -221,14 +219,25 @@ def _endless_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield from _epoch_batches(n, batch_size, rng)
 
 
-def _reconstruction_loss(encoder: Network, decoder: Network, data: Matrix) -> float:
+def _reconstruction_loss(autoencoder: Network, data: Matrix) -> float:
     total = 0.0
     for start in range(0, data.shape[0], ENCODE_CHUNK):
         x = data[start : start + ENCODE_CHUNK]
-        diff = encode(decoder, encode(encoder, x))
+        diff = encode(autoencoder, x)
         diff -= x
         total += float(np.sum(np.square(diff, out=diff)))
     return total / data.size
+
+
+def _reconstruction_step(autoencoder: Network, optimizer, x: Matrix) -> float:
+    """One optimizer step on the batch MSE, which it returns. The batch's
+    activations and gradients are freed on return, so none of them are
+    still held while the next batch allocates its own."""
+    recon, caches = forward(autoencoder, x)
+    loss, grad = mse_loss(recon, x)
+    grads, _ = backward(autoencoder, caches, grad)
+    optimizer.step(autoencoder.parameters(), grads)
+    return loss
 
 
 def pretrain(
@@ -248,25 +257,19 @@ def pretrain(
         raise ValueError("cannot pretrain on an empty dataset")
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
-    params = [*encoder.parameters(), *decoder.parameters()]
+    # One stack over the encoder's and decoder's own layer arrays.
+    autoencoder = Network(encoder.layers + decoder.layers)
     optimizer = cfg.pretrain_optimizer.make()
     n = data.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         losses = []
         for idx in _epoch_batches(n, cfg.batch_size, rng):
-            x = data[idx]
-            z, enc_caches = forward(encoder, x)
-            recon, dec_caches = forward(decoder, z)
-            loss, grad = mse_loss(recon, x)
-            losses.append(loss)
-            dec_grads, grad_z = backward(decoder, dec_caches, grad, need_input_grad=True)
-            enc_grads, _ = backward(encoder, enc_caches, grad_z)
-            optimizer.step(params, [*enc_grads, *dec_grads])
+            losses.append(_reconstruction_step(autoencoder, optimizer, data[idx]))
         epoch_loss = float(np.mean(losses))
         check_finite("reconstruction loss", np.array([epoch_loss]))
         if progress is not None:
             progress({"phase": "pretrain", "epoch": epoch, "loss": epoch_loss})
-    return _reconstruction_loss(encoder, decoder, data)
+    return _reconstruction_loss(autoencoder, data)
 
 
 def finetune(
@@ -316,15 +319,13 @@ def finetune(
             q_full = soft_assign(z, centroids, cfg.alpha) if it == 0 else model.predict(data)
             assignments = q_full.argmax(axis=1)
             target_full = target_distribution(q_full, cfg.s)
-            ckpt_loss = kl_divergence(target_full.p, q_full) / n
+            ckpt_loss = kl_divergence(target_full, q_full) / n
             acc, ari = _scores(labels, assignments)
             rate = None if prev_assign is None else label_change_rate(prev_assign, assignments)
-            checkpoints.append(CheckpointRecord(it, ckpt_loss, acc, ari, rate))
+            record = CheckpointRecord(it, ckpt_loss, acc, ari, rate)
+            checkpoints.append(record)
             if progress is not None:
-                progress({
-                    "phase": "finetune", "iteration": it, "loss": ckpt_loss,
-                    "acc": acc, "ari": ari, "label_change_rate": rate,
-                })
+                progress({"phase": "finetune", **asdict(record)})
             if rate is not None and rate < cfg.sigma:
                 stop_reason = "converged"
                 break
@@ -334,7 +335,7 @@ def finetune(
         x_b = data[idx]
         # The clean prediction q_b is also the VAT reference.
         clustering, q_b, _, grads = model._kl_forward_backward(
-            x_b, target_full.p[idx], False, True
+            x_b, target_full[idx], False, True
         )
 
         consistency = 0.0

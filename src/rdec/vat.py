@@ -7,10 +7,10 @@ iteration: probe the KL gradient at a scaled random direction, normalize,
 repeat. The consistency loss then penalizes prediction change under that
 perturbation, treating the clean prediction as a constant.
 
-Models are duck-typed; they must expose:
+Models are duck-typed; writing q(x) for the model's row-stochastic
+prediction on x, they must expose:
 
-    predict(x) -> q                       row-stochastic predictions
-    kl_input_grad(x, q_ref) -> grad       d/dx of mean-row KL(q_ref || predict(x))
+    kl_input_grad(x, q_ref) -> grad       d/dx of mean-row KL(q_ref || q(x))
     kl_param_grads(x, q_ref) -> (loss, [grads])   same loss, by parameter
 
 Losses are means over batch rows, so the regularization weight applied by
@@ -73,14 +73,10 @@ def adversarial_perturbation(
     return cfg.epsilon * d
 
 
-def vat_loss(model, x: Matrix, r_adv: Matrix, q_ref: Matrix | None = None):
+def vat_loss(model, x: Matrix, r_adv: Matrix, q_ref: Matrix):
     """Mean-row KL between clean and perturbed predictions, with param grads.
 
-    The clean prediction is a stop-gradient reference: returned gradients
-    flow only through the perturbed branch. Pass q_ref to reuse an
-    already-computed clean prediction.
+    q_ref must be the model's clean prediction on x. It is a stop-gradient
+    reference: returned gradients flow only through the perturbed branch.
     """
-    if q_ref is None:
-        q_ref = model.predict(x)
-    loss, grads = model.kl_param_grads(x + r_adv, q_ref)
-    return loss, grads
+    return model.kl_param_grads(x + r_adv, q_ref)

@@ -8,7 +8,7 @@ import pytest
 
 from rdec import cli
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
-from rdec.data import Dataset, load_idx, save_idx
+from rdec.data import Dataset, load_idx, save_csv, save_idx
 from rdec.network import encode, load_model
 from rdec.trainer import OptimizerSpec, TrainConfig
 from rdec.vat import VatConfig
@@ -232,8 +232,6 @@ pretrain.epochs = 11
 pretrain.optimizer = adam
 pretrain.lr = 0.003
 pretrain.momentum = 0.8
-pretrain.beta1 = 0.7
-pretrain.beta2 = 0.99
 finetune.optimizer = adam
 finetune.lr = 0.002
 finetune.momentum = 0.6
@@ -244,8 +242,7 @@ NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
     method="dec", seed=7, gamma=0.5, s=3.0,
     vat=VatConfig(epsilon=0.25, xi=4.0, ip=2),
     tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
-    pretrain_optimizer=OptimizerSpec(kind="adam", lr=0.003, momentum=0.8,
-                                     beta1=0.7, beta2=0.99),
+    pretrain_optimizer=OptimizerSpec(kind="adam", lr=0.003, momentum=0.8),
     finetune_optimizer=OptimizerSpec(kind="adam", lr=0.002, momentum=0.6),
     kmeans_restarts=3,
 )
@@ -342,6 +339,22 @@ class TestEvalCommand:
         assert (sibling / "metrics.csv").read_text().startswith("metric,class,value\n")
         assert str(sibling / "metrics.csv") in capsys.readouterr().out
 
+    def test_out_writes_manifest(self, tmp_path):
+        assign, labels = tmp_path / "assign.csv", tmp_path / "labels.csv"
+        assign.write_text("0\n1\n0\n1\n")
+        labels.write_text("0\n0\n1\n1\n")
+        out_dir = tmp_path / "m"
+        assert main(["eval", str(assign), str(labels), "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "metrics.csv"]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == "eval"
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert manifest["input_sha256"] == {str(assign): sha(assign), str(labels): sha(labels)}
+        assert manifest["output_sha256"] == {"metrics.csv": sha(out_dir / "metrics.csv")}
+
     def test_length_mismatch_exits_2(self, tmp_path):
         (tmp_path / "a.csv").write_text("0\n1\n")
         (tmp_path / "l.csv").write_text("0\n1\n1\n")
@@ -383,6 +396,23 @@ class TestSubsampleCommand:
             assert main(["subsample", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append((out / "images-idx3-ubyte").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_csv_output_keeps_the_label_column(self, tmp_path, idx_fixture):
+        # the same data.label_column must read the input and the subsampled file
+        save_csv(load_idx(*idx_fixture), tmp_path / "in.csv", label_column="cls")
+        common = "data.format = csv\ndata.label_column = cls\nk = 2\nmethod = kmeans\n"
+        sub_cfg = tmp_path / "sub.cfg"
+        sub_cfg.write_text(common + f"data.path = {tmp_path / 'in.csv'}\n"
+                           "subsample.mode = single_class\nsubsample.r_min = 0.5\n"
+                           "subsample.target_class = 0\n")
+        assert main(["subsample", "--config", str(sub_cfg),
+                     "--out", str(tmp_path / "sub")]) == 0
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(common + f"data.path = {tmp_path / 'sub' / 'data.csv'}\n")
+        assert main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "km")]) == 0
+        report = json.loads((tmp_path / "km" / "report.json").read_text())
+        assert report["n"] == 90
+        assert report["final_metrics"] is not None
 
     def test_requires_mode(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)
@@ -467,3 +497,25 @@ class TestProcessLevel:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.split() == ["1", "1"]
+
+    def test_imports_load_no_numpy_before_threads_are_pinned(self):
+        # A finder sees the first numpy import and prints the BLAS pin it finds.
+        code = (
+            "import os, sys\n"
+            "for var in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+            "    os.environ.pop(var, None)\n"
+            "os.environ['RDEC_NUM_THREADS'] = '1'\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print('numpy', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import rdec\n"
+            "print('rdec', 'numpy' in sys.modules)\n"
+            "import rdec.cli\n"
+            "print('rdec.cli', 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["rdec False", "numpy 1", "rdec.cli True"]

@@ -58,21 +58,21 @@ class TestTargetDistribution:
     def test_hand_evaluated_sharpening(self):
         q = np.array([[0.8, 0.2], [0.2, 0.8]])
         target = target_distribution(q, s=2.0)
-        np.testing.assert_allclose(target.frequencies, [1.0, 1.0])
+        np.testing.assert_allclose(q.sum(axis=0), [1.0, 1.0])
         np.testing.assert_allclose(
-            target.p[0], [0.64 / 0.68, 0.04 / 0.68], atol=1e-12
+            target[0], [0.64 / 0.68, 0.04 / 0.68], atol=1e-12
         )
-        np.testing.assert_allclose(target.p[0], [0.9412, 0.0588], atol=1e-4)
+        np.testing.assert_allclose(target[0], [0.9412, 0.0588], atol=1e-4)
 
     def test_uniform_rows_stay_uniform(self):
         q = np.full((5, 4), 0.25)
         target = target_distribution(q, s=2.0)
-        np.testing.assert_allclose(target.p, 0.25, atol=1e-12)
+        np.testing.assert_allclose(target, 0.25, atol=1e-12)
 
     def test_s1_with_equal_frequencies_is_identity(self):
         q = np.array([[0.7, 0.3], [0.3, 0.7]])
         target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target.p, q, atol=1e-15)
+        np.testing.assert_allclose(target, q, atol=1e-15)
 
     def test_degenerate_cluster_raises(self):
         q = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -92,10 +92,10 @@ class TestTargetDistribution:
     def test_sharpening_properties(self, raw, s):
         q = raw / raw.sum(axis=1, keepdims=True)
         target = target_distribution(q, s=s)
-        np.testing.assert_allclose(target.p.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(target.sum(axis=1), 1.0, atol=1e-9)
         # argmax of each target row equals argmax of q^s / f
         scores = q**s / q.sum(axis=0)
-        np.testing.assert_array_equal(target.p.argmax(axis=1), scores.argmax(axis=1))
+        np.testing.assert_array_equal(target.argmax(axis=1), scores.argmax(axis=1))
 
     def test_uniform_frequencies_raise_peak(self, rng):
         # symmetric q -> equal frequencies; sharpened rows peak higher
@@ -105,7 +105,7 @@ class TestTargetDistribution:
             q = np.array(q_rows)
             q = q / q.sum(axis=1, keepdims=True)
             target = target_distribution(q, s=s)
-            assert np.all(target.p.max(axis=1) >= q.max(axis=1) - 1e-12)
+            assert np.all(target.max(axis=1) >= q.max(axis=1) - 1e-12)
 
 
 class TestKlDivergence:
@@ -141,8 +141,8 @@ class TestClusteringGrads:
         centroids = np.array([[0.0, 0.0], [2.0, 2.0]])
         q = soft_assign(z, centroids)
         target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target.p, q, atol=1e-15)
-        _, grad_z, grad_u = clustering_grads(z, centroids, target.p)
+        np.testing.assert_allclose(target, q, atol=1e-15)
+        _, grad_z, grad_u = clustering_grads(z, centroids, target)
         np.testing.assert_allclose(grad_z, 0.0, atol=1e-12)
         np.testing.assert_allclose(grad_u, 0.0, atol=1e-12)
 
@@ -150,7 +150,7 @@ class TestClusteringGrads:
         z = rng.standard_normal((5, 2))
         centroids = rng.standard_normal((3, 2))
         q = soft_assign(z, centroids)
-        p = target_distribution(q, s=2.0).p  # frozen
+        p = target_distribution(q, s=2.0)  # frozen
 
         _, grad_z, grad_u = clustering_grads(z, centroids, p)
         fd_z = numerical_grad(
@@ -165,7 +165,7 @@ class TestClusteringGrads:
     def test_translation_invariance(self, rng):
         z = rng.standard_normal((4, 3))
         centroids = rng.standard_normal((2, 3))
-        p = target_distribution(soft_assign(z, centroids), s=2.0).p
+        p = target_distribution(soft_assign(z, centroids), s=2.0)
         _, g_z, _ = clustering_grads(z, centroids, p)
         shift = rng.standard_normal(3)
         _, g_z_shifted, _ = clustering_grads(z + shift, centroids + shift, p)

@@ -7,7 +7,8 @@ import pytest
 from rdec import dec, trainer
 from rdec.dec import kl_divergence, target_distribution
 from rdec.metrics import accuracy
-from rdec.network import Layer, Network
+from rdec.network import Layer, Network, backward, encode, forward
+from rdec.tensor import mse_loss
 from rdec.trainer import (
     ClusterModel,
     OptimizerSpec,
@@ -134,6 +135,49 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(small_encoder(0), small_decoder(0), np.zeros((0, 2)),
                      fast_config())
+
+    def test_one_stack_matches_two_stacks(self, monkeypatch):
+        data, _ = two_gaussians(n=100, seed=4)
+        data = (data - data.min()) / (data.max() - data.min())
+        cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5)
+        cfg.pretrain_optimizer.lr = 0.05
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name):
+            original = getattr(trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(trainer, name, counted(name))
+        encoder, decoder = small_encoder(5), small_decoder(5)
+        loss = pretrain(encoder, decoder, data, cfg)
+        monkeypatch.undo()
+        assert calls == {"forward": 3 * 4, "backward": 3 * 4}  # 4 batches an epoch
+
+        # Reference: the encoder and decoder run as two stacks, bit for bit.
+        ref_encoder, ref_decoder = small_encoder(5), small_decoder(5)
+        params = ref_encoder.parameters() + ref_decoder.parameters()
+        optimizer = cfg.pretrain_optimizer.make()
+        rng = np.random.default_rng([cfg.seed, trainer._STREAM_PRETRAIN])
+        for _ in range(cfg.pretrain_epochs):
+            for idx in trainer._epoch_batches(len(data), cfg.batch_size, rng):
+                x = data[idx]
+                z, enc_caches = forward(ref_encoder, x)
+                recon, dec_caches = forward(ref_decoder, z)
+                _, grad = mse_loss(recon, x)
+                dec_grads, grad_z = backward(ref_decoder, dec_caches, grad,
+                                             need_input_grad=True)
+                enc_grads, _ = backward(ref_encoder, enc_caches, grad_z)
+                optimizer.step(params, enc_grads + dec_grads)
+        for got, want in zip(encoder.parameters() + decoder.parameters(), params):
+            np.testing.assert_array_equal(got, want)
+        recon = encode(ref_decoder, encode(ref_encoder, data))
+        assert loss == float(np.sum((recon - data) ** 2)) / data.size
 
 
 class TestFinetune:
@@ -265,14 +309,14 @@ class TestFinetune:
         model = ClusterModel(copy.deepcopy(start), runs[0].centroids.copy(), cfg.alpha)
         q = model.predict(data)
         target = target_distribution(q, cfg.s)
-        assert report.checkpoints[0].loss == kl_divergence(target.p, q) / n
+        assert report.checkpoints[0].loss == kl_divergence(target, q) / n
         params = model.parameters()
         optimizer = cfg.finetune_optimizer.make()
         # max_iter * batch_size <= n: every batch comes from the first epoch
         perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
         for it in range(cfg.max_iter):
             idx = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            _, grads = model.kl_param_grads(data[idx], target.p[idx])
+            _, grads = model.kl_param_grads(data[idx], target[idx])
             optimizer.step(params, grads)
         np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
         np.testing.assert_array_equal(report.final_centroids, model.centroids)

@@ -81,7 +81,7 @@ class TestConstantModel:
         q_ref = model.predict(x)
         cfg = VatConfig(epsilon=1.0, xi=10.0, ip=1)
         r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(0))
-        loss, grads = vat_loss(model, x, r)
+        loss, grads = vat_loss(model, x, r, q_ref)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
 
@@ -103,7 +103,7 @@ class TestVatLoss:
     def test_zero_perturbation_zero_everything(self, rng):
         model = small_model(rng)
         x = rng.standard_normal((6, 4))
-        loss, grads = vat_loss(model, x, np.zeros_like(x))
+        loss, grads = vat_loss(model, x, np.zeros_like(x), model.predict(x))
         assert loss == pytest.approx(0.0, abs=1e-15)
         for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-15)
