@@ -104,12 +104,10 @@ SCHEMA = {
     "max_iter": (int, "max_iter"),
     "batch_size": (int, "batch_size"),
     "pretrain.epochs": (int, "pretrain_epochs"),
-    "pretrain.optimizer": (str, "pretrain_optimizer.kind"),
-    "pretrain.lr": (float, "pretrain_optimizer.lr"),
-    "pretrain.momentum": (float, "pretrain_optimizer.momentum"),
-    "finetune.optimizer": (str, "finetune_optimizer.kind"),
-    "finetune.lr": (float, "finetune_optimizer.lr"),
-    "finetune.momentum": (float, "finetune_optimizer.momentum"),
+    "pretrain.lr": (float, "pretrain_lr"),
+    "pretrain.momentum": (float, "pretrain_momentum"),
+    "finetune.lr": (float, "finetune_lr"),
+    "finetune.momentum": (float, "finetune_momentum"),
     "kmeans.restarts": (int, "kmeans_restarts"),
 }
 

@@ -19,7 +19,7 @@ class ShapeMismatchError(ValueError):
     """Operands whose shapes cannot be combined."""
 
 
-def check_finite(name: str, values: np.ndarray) -> None:
+def check_finite(name: str, values: np.ndarray | float) -> None:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"{name} contains NaN or Inf entries")
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .dec import clustering_grads, kl_divergence, soft_assign, target_distribution
 from .kmeans import kmeans
-from .network import ENCODE_CHUNK, Adam, Network, SgdMomentum, backward, encode, forward
+from .network import ENCODE_CHUNK, Network, SgdMomentum, backward, encode, forward
 from .tensor import Matrix, check_finite, mse_loss
 from .vat import VatConfig, adversarial_perturbation, vat_loss
 
@@ -42,23 +42,6 @@ ProgressFn = Callable[[dict], None]
 
 
 @dataclass
-class OptimizerSpec:
-    kind: str = "sgd_momentum"  # or "adam"
-    lr: float = 0.01
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        if self.kind not in ("sgd_momentum", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-
-    def make(self):
-        self.__post_init__()
-        if self.kind == "adam":
-            return Adam(lr=self.lr)
-        return SgdMomentum(lr=self.lr, momentum=self.momentum)
-
-
-@dataclass
 class TrainConfig:
     method: str = "rdec"
     gamma: float = 5.0
@@ -70,12 +53,11 @@ class TrainConfig:
     max_iter: int = 20_000
     batch_size: int = 256
     pretrain_epochs: int = 300
-    pretrain_optimizer: OptimizerSpec = field(
-        default_factory=lambda: OptimizerSpec(kind="sgd_momentum", lr=1.0, momentum=0.9)
-    )
-    finetune_optimizer: OptimizerSpec = field(
-        default_factory=lambda: OptimizerSpec(kind="sgd_momentum", lr=0.01, momentum=0.9)
-    )
+    # Both phases train with SGD momentum (SgdMomentum).
+    pretrain_lr: float = 1.0
+    pretrain_momentum: float = 0.9
+    finetune_lr: float = 0.01
+    finetune_momentum: float = 0.9
     kmeans_restarts: int = 20
     seed: int = 0
 
@@ -100,8 +82,6 @@ class TrainConfig:
             raise ValueError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.pretrain_optimizer.__post_init__()
-        self.finetune_optimizer.__post_init__()
         self.vat.__post_init__()
 
 
@@ -250,8 +230,8 @@ def pretrain(
     """Train encoder+decoder in place to reconstruct the data; returns final loss.
 
     Mini-batch reconstruction training for ``pretrain_epochs`` epochs with
-    the phase-1 optimizer. Per-epoch mean batch losses are emitted through
-    the progress callback.
+    SGD momentum. Per-epoch mean batch losses are emitted through the
+    progress callback; a non-finite one raises FloatingPointError.
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
@@ -259,14 +239,14 @@ def pretrain(
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
     # One stack over the encoder's and decoder's own layer arrays.
     autoencoder = Network(encoder.layers + decoder.layers)
-    optimizer = cfg.pretrain_optimizer.make()
+    optimizer = SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
     n = data.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         losses = []
         for idx in _epoch_batches(n, cfg.batch_size, rng):
             losses.append(_reconstruction_step(autoencoder, optimizer, data[idx]))
         epoch_loss = float(np.mean(losses))
-        check_finite("reconstruction loss", np.array([epoch_loss]))
+        check_finite(f"reconstruction loss at epoch {epoch}", epoch_loss)
         if progress is not None:
             progress({"phase": "pretrain", "epoch": epoch, "loss": epoch_loss})
     return _reconstruction_loss(autoencoder, data)
@@ -283,9 +263,10 @@ def finetune(
     """Jointly optimize encoder weights and centroids; returns hard assignments.
 
     Centroids start from the best of several K-means runs on the embedded
-    data and are updated by the same optimizer as the network weights.
-    When ``labels`` is given, ACC and ARI are recorded at every target
-    refresh. The encoder is mutated in place.
+    data and are updated by the same SGD-momentum optimizer as the network
+    weights. When ``labels`` is given, ACC and ARI are recorded at every
+    target refresh. A non-finite batch loss raises FloatingPointError
+    naming the iteration and the term. The encoder is mutated in place.
     """
     cfg.validate()
     if k < 2:
@@ -300,7 +281,7 @@ def finetune(
     centroids = km.centroids.copy()
     model = ClusterModel(encoder, centroids, cfg.alpha)
     params = model.parameters()
-    optimizer = cfg.finetune_optimizer.make()
+    optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
     use_vat = cfg.method == "rdec" and cfg.gamma > 0.0
 
     batch_iter = _endless_batches(n, cfg.batch_size,
@@ -337,12 +318,14 @@ def finetune(
         clustering, q_b, _, grads = model._kl_forward_backward(
             x_b, target_full[idx], False, True
         )
+        check_finite(f"clustering loss at iteration {it}", clustering)
 
         consistency = 0.0
         if use_vat:
             vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
             r_adv = adversarial_perturbation(model, x_b, q_b, cfg.vat, vat_rng)
             consistency, vat_grads = vat_loss(model, x_b, r_adv, q_ref=q_b)
+            check_finite(f"VAT loss at iteration {it}", consistency)
             for g, vg in zip(grads, vat_grads):
                 vg *= cfg.gamma
                 g += vg

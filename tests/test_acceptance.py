@@ -267,7 +267,7 @@ def test_c7_synthetic_end_to_end():
     base_cfg = TrainConfig(method="dec", gamma=0.0, tau=20, sigma=0.01,
                            max_iter=2000, batch_size=256, pretrain_epochs=15,
                            kmeans_restarts=10, seed=5)
-    base_cfg.pretrain_optimizer.lr = 0.5
+    base_cfg.pretrain_lr = 0.5
     encoder, decoder = build_network(2, 2, seed=5)
     pretrain(encoder, decoder, data, base_cfg)
 

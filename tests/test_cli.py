@@ -2,6 +2,8 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from rdec import cli
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_csv, save_idx
 from rdec.network import encode, load_model
-from rdec.trainer import OptimizerSpec, TrainConfig
+from rdec.trainer import TrainConfig
 from rdec.vat import VatConfig
 
 
@@ -209,9 +211,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_unknown_optimizer_kind_exits_2(self, tmp_path, idx_fixture, capsys, command):
-        cfg = write_config(tmp_path, idx_fixture, extra="finetune.optimizer = rmsprop\n")
+        # Both phases always use SGD momentum: no optimizer key is left to set.
+        cfg = write_config(tmp_path, idx_fixture, extra="finetune.optimizer = sgd_momentum\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "rmsprop" in capsys.readouterr().err
+        assert "unknown key 'finetune.optimizer'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 
@@ -229,10 +232,8 @@ sigma = 0.2
 max_iter = 33
 batch_size = 17
 pretrain.epochs = 11
-pretrain.optimizer = adam
 pretrain.lr = 0.003
 pretrain.momentum = 0.8
-finetune.optimizer = adam
 finetune.lr = 0.002
 finetune.momentum = 0.6
 kmeans.restarts = 3
@@ -242,10 +243,20 @@ NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
     method="dec", seed=7, gamma=0.5, s=3.0,
     vat=VatConfig(epsilon=0.25, xi=4.0, ip=2),
     tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
-    pretrain_optimizer=OptimizerSpec(kind="adam", lr=0.003, momentum=0.8),
-    finetune_optimizer=OptimizerSpec(kind="adam", lr=0.002, momentum=0.6),
+    pretrain_lr=0.003, pretrain_momentum=0.8, finetune_lr=0.002, finetune_momentum=0.6,
     kmeans_restarts=3,
 )
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_spells_out_the_defaults(path):
+    cfg = load_config(path)
+    train = cfg.train
+    assert train == replace(TrainConfig(), method=train.method, gamma=train.gamma,
+                            seed=train.seed)
 
 
 class TestTrainConfigMapping:
@@ -270,11 +281,9 @@ class TestTrainConfigMapping:
         defaults = TrainConfig()
         base = ExperimentConfig(settings={"epsilon": 0.5}).train
         assert base.vat == VatConfig(epsilon=0.5)
-        assert (base.pretrain_optimizer, base.finetune_optimizer) == (
-            defaults.pretrain_optimizer, defaults.finetune_optimizer)
+        assert base == replace(defaults, vat=VatConfig(epsilon=0.5))
         lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train
-        assert lr.pretrain_optimizer == OptimizerSpec(kind="sgd_momentum", lr=0.5)
-        assert lr.finetune_optimizer == defaults.finetune_optimizer
+        assert lr == replace(defaults, pretrain_lr=0.5)
 
     @pytest.mark.parametrize("command, extra", [
         ("pretrain", ""),

@@ -135,6 +135,26 @@ class TestEncode:
         assert z.shape == (x.shape[0], 2)
         assert peak < output + 3 * chunk_activations
 
+    def test_memory_holds_two_layer_outputs(self):
+        # Through the canonical autoencoder a chunk's layer outputs total
+        # far more than two of its widest; encode keeps only the current
+        # input and output of one layer alive.
+        import tracemalloc
+
+        from rdec import network as net_mod
+
+        encoder, decoder = build_network(784, 10, seed=0)
+        autoencoder = Network(encoder.layers + decoder.layers)
+        x = np.random.default_rng(0).random((net_mod.ENCODE_CHUNK, 784))
+        output = 8 * x.shape[0] * autoencoder.output_dim
+        tracemalloc.start()
+        try:
+            encode(autoencoder, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - output < 2 * net_mod.ENCODE_CHUNK * 2000 * 8
+
 
 class TestBackwardPlumbing:
     def test_param_grads_alignment(self, rng):

@@ -7,11 +7,10 @@ import pytest
 from rdec import dec, trainer
 from rdec.dec import kl_divergence, target_distribution
 from rdec.metrics import accuracy
-from rdec.network import Layer, Network, backward, encode, forward
+from rdec.network import Layer, Network, SgdMomentum, backward, encode, forward
 from rdec.tensor import mse_loss
 from rdec.trainer import (
     ClusterModel,
-    OptimizerSpec,
     TrainConfig,
     finetune,
     label_change_rate,
@@ -79,18 +78,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_config(**kwargs).validate()
 
-    @pytest.mark.parametrize("field", ["pretrain_optimizer", "finetune_optimizer"])
-    def test_rejects_an_unknown_optimizer_kind(self, field):
-        cfg = fast_config()
-        getattr(cfg, field).kind = "rmsprop"
-        with pytest.raises(ValueError, match="rmsprop"):
-            cfg.validate()
-
-    def test_optimizer_spec(self):
-        with pytest.raises(ValueError):
-            OptimizerSpec(kind="rmsprop").make()
-        assert OptimizerSpec(kind="adam").make() is not None
-
 
 class TestPretrain:
     def test_zero_epochs_keeps_weights(self, rng):
@@ -113,7 +100,7 @@ class TestPretrain:
         cfg = fast_config(pretrain_epochs=0)
         initial = pretrain(encoder, decoder, data, cfg)
         cfg = fast_config(pretrain_epochs=80)
-        cfg.pretrain_optimizer.lr = 0.05
+        cfg.pretrain_lr = 0.05
         final = pretrain(encoder, decoder, data, cfg)
         assert final < 0.5 * initial
 
@@ -125,7 +112,7 @@ class TestPretrain:
             encoder = small_encoder(7)
             decoder = small_decoder(7)
             cfg = fast_config(pretrain_epochs=5, seed=11)
-            cfg.pretrain_optimizer.lr = 0.05
+            cfg.pretrain_lr = 0.05
             pretrain(encoder, decoder, data, cfg)
             results.append([p.copy() for p in encoder.parameters()])
         for a, b in zip(*results):
@@ -136,11 +123,27 @@ class TestPretrain:
             pretrain(small_encoder(0), small_decoder(0), np.zeros((0, 2)),
                      fast_config())
 
+    def test_pretrain_names_the_non_finite_epoch(self, monkeypatch):
+        data, _ = two_gaussians(n=64, seed=0)
+        data = (data - data.min()) / (data.max() - data.min())
+        real = trainer._reconstruction_step
+        epoch_of_batch = iter([0, 0, 1, 1])  # two 32-row batches an epoch
+
+        def nan_in_epoch_1(*args):
+            loss = real(*args)
+            return np.nan if next(epoch_of_batch) == 1 else loss
+
+        monkeypatch.setattr(trainer, "_reconstruction_step", nan_in_epoch_1)
+        cfg = fast_config(pretrain_epochs=3, batch_size=32, pretrain_lr=0.05)
+        with pytest.raises(FloatingPointError, match="reconstruction loss at epoch 1 "):
+            pretrain(small_encoder(0), small_decoder(0), data, cfg)
+
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
         data = (data - data.min()) / (data.max() - data.min())
         cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5)
-        cfg.pretrain_optimizer.lr = 0.05
+        cfg.pretrain_lr = 0.05
+        cfg.pretrain_momentum = 0.5  # a path that ignores it fails below
         calls = {"forward": 0, "backward": 0}
 
         def counted(name):
@@ -162,7 +165,7 @@ class TestPretrain:
         # Reference: the encoder and decoder run as two stacks, bit for bit.
         ref_encoder, ref_decoder = small_encoder(5), small_decoder(5)
         params = ref_encoder.parameters() + ref_decoder.parameters()
-        optimizer = cfg.pretrain_optimizer.make()
+        optimizer = SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
         rng = np.random.default_rng([cfg.seed, trainer._STREAM_PRETRAIN])
         for _ in range(cfg.pretrain_epochs):
             for idx in trainer._epoch_batches(len(data), cfg.batch_size, rng):
@@ -311,7 +314,7 @@ class TestFinetune:
         target = target_distribution(q, cfg.s)
         assert report.checkpoints[0].loss == kl_divergence(target, q) / n
         params = model.parameters()
-        optimizer = cfg.finetune_optimizer.make()
+        optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
         # max_iter * batch_size <= n: every batch comes from the first epoch
         perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
         for it in range(cfg.max_iter):
@@ -332,19 +335,27 @@ class TestFinetune:
             with pytest.raises(ValueError, match="alpha"):
                 finetune(small_encoder(0), data, 2, fast_config(alpha=alpha))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow
+    def test_diverging_step_fails_at_the_first_non_finite_loss(self):
+        data, _ = two_gaussians(n=200, seed=0)
+        cfg = fast_config(method="rdec", gamma=5.0, finetune_lr=1e200)
+        with pytest.raises(FloatingPointError, match="clustering loss at iteration 1 "):
+            finetune(small_encoder(1), data, 2, cfg)
 
-    def test_bad_optimizer_kind_fails_before_encode_and_kmeans(self, monkeypatch):
-        data, _ = two_gaussians(n=40, seed=1)
+    def test_non_finite_vat_loss_names_the_term(self, monkeypatch):
+        data, _ = two_gaussians(n=200, seed=0)
+        real = trainer.vat_loss
+        calls = []
 
-        def too_late(*args, **kwargs):
-            raise AssertionError("the data was encoded or clustered before the check")
+        def nan_at_iteration_3(model, x, r_adv, q_ref):
+            loss, grads = real(model, x, r_adv, q_ref)
+            calls.append(loss)
+            return (np.nan if len(calls) == 4 else loss), grads
 
-        monkeypatch.setattr(trainer, "encode", too_late)
-        monkeypatch.setattr(trainer, "kmeans", too_late)
-        cfg = fast_config()
-        cfg.finetune_optimizer.kind = "rmsprop"
-        with pytest.raises(ValueError, match="rmsprop"):
-            finetune(small_encoder(0), data, 2, cfg)
+        monkeypatch.setattr(trainer, "vat_loss", nan_at_iteration_3)
+        cfg = fast_config(method="rdec", gamma=5.0)
+        with pytest.raises(FloatingPointError, match="VAT loss at iteration 3 "):
+            finetune(small_encoder(1), data, 2, cfg)
 
     @pytest.mark.parametrize("method, gamma", [("dec", 0.0), ("rdec", 0.0), ("rdec", 2.0)])
     def test_read_only_data(self, method, gamma):
@@ -355,7 +366,7 @@ class TestFinetune:
         encoder, decoder = small_encoder(2), small_decoder(2)
         cfg = fast_config(method=method, gamma=gamma, pretrain_epochs=2, max_iter=5,
                           batch_size=32)
-        cfg.pretrain_optimizer.lr = 0.05
+        cfg.pretrain_lr = 0.05
         assert np.isfinite(pretrain(encoder, decoder, data, cfg))
         assignments, _ = finetune(encoder, data, 2, cfg)
         assert len(assignments) == len(data)
