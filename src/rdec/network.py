@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -115,12 +116,18 @@ def forward(net: Network, x: Matrix) -> tuple[Matrix, list[Matrix]]:
     return caches[-1], caches
 
 
+# A per-layer hand-off for ``backward``: called as step(i, grad_weight,
+# grad_bias) once layer i's parameter gradients exist.
+LayerStep = Callable[[int, Matrix, np.ndarray], None]
+
+
 def backward(
     net: Network,
     caches: list[Matrix],
     grad_out: Matrix,
     need_input_grad: bool = False,
     need_param_grads: bool = True,
+    step: LayerStep | None = None,
 ) -> tuple[list[np.ndarray] | None, Matrix | None]:
     """Backpropagate grad_out through the stack; grad_out is never written.
 
@@ -129,8 +136,18 @@ def backward(
     gradients (input-gradient probes) avoids the weight-gradient matmuls;
     not requesting the input gradient skips the first layer's
     input-gradient matmul.
+
+    With ``step``, each layer's gradients go to ``step(i, grad_weight,
+    grad_bias)`` from the top layer down instead of into the returned
+    list, which is then None. The call comes after layer i's input
+    gradient has been taken with the old weights, so ``step`` may update
+    the layer in place, and the arrays are dropped before the next layer's
+    are made: at most one layer's parameter gradients are live at a time.
     """
-    grads = [None] * (2 * len(net.layers)) if need_param_grads else None
+    if step is not None and not need_param_grads:
+        raise ValueError("backward: a per-layer step needs the parameter gradients")
+    keep = need_param_grads and step is None
+    grads = [None] * (2 * len(net.layers)) if keep else None
     grad = grad_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -140,12 +157,17 @@ def backward(
         if layer.activation == RELU:
             # Masks in place: every grad but the caller's is this pass's own.
             grad = relu_backward(grad.copy() if grad is grad_out else grad, out)
-        if need_param_grads:
-            grad, grads[2 * i], grads[2 * i + 1] = affine_backward(
-                grad, caches[i], layer.weight, need_input_grad=need_input_grad or i > 0
-            )
-        else:
+        if not need_param_grads:
             grad = grad @ layer.weight.T
+            continue
+        grad, grad_weight, grad_bias = affine_backward(
+            grad, caches[i], layer.weight, need_input_grad=need_input_grad or i > 0
+        )
+        if keep:
+            grads[2 * i], grads[2 * i + 1] = grad_weight, grad_bias
+        else:
+            step(i, grad_weight, grad_bias)
+        del grad_weight, grad_bias
     return grads, (grad if need_input_grad else None)
 
 

@@ -16,6 +16,7 @@ their traces are bit-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
@@ -80,6 +81,14 @@ class TrainConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.pretrain_epochs < 0:
             raise ValueError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        for name in ("pretrain_lr", "finetune_lr"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
+        for name in ("pretrain_momentum", "finetune_momentum"):
+            momentum = getattr(self, name)
+            if not 0.0 <= momentum < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {momentum}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.vat.__post_init__()
@@ -209,14 +218,22 @@ def _reconstruction_loss(autoencoder: Network, data: Matrix) -> float:
     return total / data.size
 
 
-def _reconstruction_step(autoencoder: Network, optimizer, x: Matrix) -> float:
-    """One optimizer step on the batch MSE, which it returns. The batch's
+def _reconstruction_step(autoencoder: Network, optimizers: list[SgdMomentum],
+                         x: Matrix) -> float:
+    """One SGD-momentum step of every layer on the batch MSE, which it returns.
+
+    ``optimizers[i]`` steps layer i as soon as backward has its gradients,
+    so no more than one layer's gradients are held at a time. The batch's
     activations and gradients are freed on return, so none of them are
     still held while the next batch allocates its own."""
     recon, caches = forward(autoencoder, x)
     loss, grad = mse_loss(recon, x)
-    grads, _ = backward(autoencoder, caches, grad)
-    optimizer.step(autoencoder.parameters(), grads)
+    layers = autoencoder.layers
+
+    def step(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
+        optimizers[i].step([layers[i].weight, layers[i].bias], [grad_weight, grad_bias])
+
+    backward(autoencoder, caches, grad, step=step)
     return loss
 
 
@@ -230,8 +247,9 @@ def pretrain(
     """Train encoder+decoder in place to reconstruct the data; returns final loss.
 
     Mini-batch reconstruction training for ``pretrain_epochs`` epochs with
-    SGD momentum. Per-epoch mean batch losses are emitted through the
-    progress callback; a non-finite one raises FloatingPointError.
+    SGD momentum, one optimizer per layer. A non-finite batch loss raises
+    FloatingPointError naming the epoch and the batch; per-epoch mean
+    batch losses are emitted through the progress callback.
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
@@ -239,14 +257,16 @@ def pretrain(
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
     # One stack over the encoder's and decoder's own layer arrays.
     autoencoder = Network(encoder.layers + decoder.layers)
-    optimizer = SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
+    optimizers = [SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
+                  for _ in autoencoder.layers]
     n = data.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         losses = []
-        for idx in _epoch_batches(n, cfg.batch_size, rng):
-            losses.append(_reconstruction_step(autoencoder, optimizer, data[idx]))
+        for batch, idx in enumerate(_epoch_batches(n, cfg.batch_size, rng)):
+            loss = _reconstruction_step(autoencoder, optimizers, data[idx])
+            check_finite(f"reconstruction loss at epoch {epoch} batch {batch}", loss)
+            losses.append(loss)
         epoch_loss = float(np.mean(losses))
-        check_finite(f"reconstruction loss at epoch {epoch}", epoch_loss)
         if progress is not None:
             progress({"phase": "pretrain", "epoch": epoch, "loss": epoch_loss})
     return _reconstruction_loss(autoencoder, data)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdec import cli
+from rdec import cli, trainer
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_csv, save_idx
 from rdec.network import encode, load_model
@@ -208,6 +208,19 @@ class TestTrainCommand:
         assert "spectral" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+
+    def test_negative_finetune_lr_exits_2_before_any_encode(self, tmp_path, idx_fixture,
+                                                            pretrained, capsys, monkeypatch):
+        def no_encode(*args):
+            raise AssertionError("encode ran")
+
+        monkeypatch.setattr(cli, "encode", no_encode)
+        monkeypatch.setattr(trainer, "encode", no_encode)
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
+                           extra="finetune.lr = -1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "finetune_lr" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_unknown_optimizer_kind_exits_2(self, tmp_path, idx_fixture, capsys, command):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,70 @@ class TestBackwardPlumbing:
         assert gi.shape == x.shape and gi_none is None
         np.testing.assert_array_equal(gw_lean, gw)
         np.testing.assert_array_equal(gb_lean, gb)
+
+
+class TestBackwardHandOff:
+    """``backward(..., step=...)`` hands each layer's gradients over as soon
+    as they exist instead of returning a list."""
+
+    def _setup(self, rng):
+        net = tiny_net(rng, dims=(4, 6, 5, 3, 2))
+        x = rng.standard_normal((7, 4))
+        out, caches = forward(net, x)
+        return net, x, caches, rng.standard_normal(out.shape)
+
+    def test_layers_come_from_the_top_down(self, rng):
+        net, _, caches, seed_grad = self._setup(rng)
+        seen = []
+        grads, _ = backward(net, caches, seed_grad, step=lambda i, gw, gb: seen.append(i))
+        assert grads is None
+        assert seen == [3, 2, 1, 0]
+
+    def test_grads_equal_the_list_path_bit_for_bit(self, rng):
+        net, _, caches, seed_grad = self._setup(rng)
+        want, gi_list = backward(net, caches, seed_grad, need_input_grad=True)
+        got = {}
+
+        def keep(i, grad_weight, grad_bias):
+            got[i] = (grad_weight, grad_bias)
+
+        _, gi_step = backward(net, caches, seed_grad, need_input_grad=True, step=keep)
+        for i in range(len(net.layers)):
+            np.testing.assert_array_equal(got[i][0], want[2 * i])
+            np.testing.assert_array_equal(got[i][1], want[2 * i + 1])
+        np.testing.assert_array_equal(gi_step, gi_list)
+
+    def test_in_place_update_does_not_reach_the_input_gradient(self, rng):
+        net, _, caches, seed_grad = self._setup(rng)
+        want, gi_want = backward(net, caches, seed_grad, need_input_grad=True)
+        expected = [p - 0.5 * g for p, g in zip(net.parameters(), want)]
+
+        def update(i, grad_weight, grad_bias):
+            net.layers[i].weight -= 0.5 * grad_weight
+            net.layers[i].bias -= 0.5 * grad_bias
+
+        _, gi_got = backward(net, caches, seed_grad, need_input_grad=True, step=update)
+        np.testing.assert_array_equal(gi_got, gi_want)
+        for p, e in zip(net.parameters(), expected):
+            np.testing.assert_array_equal(p, e)
+
+    def test_the_layer_above_is_freed_before_the_next_hand_off(self, rng):
+        net, _, caches, seed_grad = self._setup(rng)
+        refs = []
+        live_above = []
+
+        def watch(i, grad_weight, grad_bias):
+            live_above.append([r() is not None for r in refs])
+            refs.extend([weakref.ref(grad_weight), weakref.ref(grad_bias)])
+
+        backward(net, caches, seed_grad, step=watch)
+        assert live_above == [[], [False] * 2, [False] * 4, [False] * 6]
+
+    def test_step_needs_param_grads(self, rng):
+        net, _, caches, seed_grad = self._setup(rng)
+        with pytest.raises(ValueError, match="per-layer step"):
+            backward(net, caches, seed_grad, need_input_grad=True,
+                     need_param_grads=False, step=lambda i, gw, gb: None)
 
 
 class TestOptimizers:

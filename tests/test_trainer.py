@@ -78,6 +78,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_config(**kwargs).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("pretrain_lr", 0.0),
+        ("pretrain_lr", float("inf")),
+        ("finetune_lr", -1.0),
+        ("finetune_lr", float("nan")),
+        ("pretrain_momentum", 1.0),
+        ("pretrain_momentum", float("nan")),
+        ("finetune_momentum", -0.1),
+        ("finetune_momentum", 1.5),
+    ])
+    def test_rejects_a_bad_step_setting_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            fast_config(**{name: value}).validate()
+
+    def test_accepts_zero_momentum(self):
+        fast_config(pretrain_momentum=0.0, finetune_momentum=0.0).validate()
+
 
 class TestPretrain:
     def test_zero_epochs_keeps_weights(self, rng):
@@ -137,6 +154,23 @@ class TestPretrain:
         cfg = fast_config(pretrain_epochs=3, batch_size=32, pretrain_lr=0.05)
         with pytest.raises(FloatingPointError, match="reconstruction loss at epoch 1 "):
             pretrain(small_encoder(0), small_decoder(0), data, cfg)
+
+    def test_pretrain_stops_at_the_first_non_finite_batch(self, monkeypatch):
+        data, _ = two_gaussians(n=64, seed=0)
+        data = (data - data.min()) / (data.max() - data.min())
+        real = trainer._reconstruction_step
+        calls = []
+
+        def nan_loss(*args):
+            calls.append(real(*args))
+            return np.nan
+
+        monkeypatch.setattr(trainer, "_reconstruction_step", nan_loss)
+        cfg = fast_config(pretrain_epochs=3, batch_size=32, pretrain_lr=0.05)
+        with pytest.raises(FloatingPointError,
+                           match="reconstruction loss at epoch 0 batch 0 "):
+            pretrain(small_encoder(0), small_decoder(0), data, cfg)
+        assert len(calls) == 1
 
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
