@@ -491,6 +491,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"length mismatch: {len(assignments)} assignments vs {len(labels)} labels"
         )
+    if len(labels) == 0:
+        raise ConfigError(f"no values in {args.assignments} or {args.labels}")
     final = _final_metrics(labels, assignments)
     print(f"acc: {final['acc']:.6f}")
     print(f"ari: {final['ari']:.6f}")

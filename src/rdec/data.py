@@ -143,7 +143,11 @@ def save_idx(ds: Dataset, images_path, labels_path, side: int | None = None) -> 
         if side * side != ds.dim:
             raise ValueError(f"feature dim {ds.dim} is not square; pass side explicitly")
     rows, cols = side, ds.dim // side
-    pixels = np.clip(np.round(ds.features * 255.0), 0, 255).astype(np.uint8)
+    # one float64 temporary, rounded and clipped in place; rebinding frees it
+    pixels = ds.features * 255.0
+    np.round(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    pixels = pixels.astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, rows, cols))
         fh.write(pixels.tobytes())

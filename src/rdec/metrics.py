@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -46,26 +45,91 @@ def contingency_table(labels, assignments) -> ContingencyTable:
     return ContingencyTable(counts, pred_values, true_values, int(labels.shape[0]))
 
 
+def _best_assignment(weights: np.ndarray) -> np.ndarray:
+    """Column matched to each row in a maximum-weight matching of a square table.
+
+    Shortest augmenting path (Crouse 2016, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 52(4)), as scipy's rectangular_lsap
+    runs it for a square table. The float64 costs, the dual updates and
+    both tie rules follow scipy's: unvisited columns start in reverse order
+    and a picked one is swapped with the last; among the columns at the
+    minimum reduced cost the last one without a row wins, else the first.
+    So ties resolve as in scipy.optimize.linear_sum_assignment(weights,
+    maximize=True), and the mapping, not just the matched total, agrees.
+    """
+    cost = -np.asarray(weights, dtype=np.float64)
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1, dtype=np.intp)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    for cur_row in range(n):
+        shortest = np.full(n, np.inf)
+        seen_rows = np.zeros(n, dtype=bool)
+        seen_cols = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)
+        num_remaining = n
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            seen_rows[i] = True
+            cols = remaining[:num_remaining]
+            reduced = min_val + cost[i, cols] - u[i] - v[cols]
+            shorter = reduced < shortest[cols]
+            path[cols[shorter]] = i
+            shortest[cols[shorter]] = reduced[shorter]
+            costs = shortest[cols]
+            min_val = costs.min()
+            at_min = np.flatnonzero(costs == min_val)
+            free = at_min[row4col[cols[at_min]] == -1]
+            index = free[-1] if free.size else at_min[0]
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        u[cur_row] += min_val
+        seen_rows[cur_row] = False
+        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def accuracy(labels, assignments, max_clusters: int = 10_000):
     """Best-mapping clustering accuracy.
 
     Maximizes the matched fraction over one-to-one cluster-to-label
     mappings by optimal assignment on the contingency table (padded square
-    when cluster and label counts differ). Returns (acc, mapping) where
+    when cluster and label counts differ), solved in-repo by
+    `_best_assignment` with scipy's tie rules. Returns (acc, mapping) where
     mapping sends each cluster id to its matched label id; clusters
     matched to padding are absent from the mapping.
     """
     table = contingency_table(labels, assignments)
+    if table.n == 0:
+        raise ValueError("ACC needs at least one sample; labels and assignments are empty")
     size = max(len(table.pred_values), len(table.true_values))
     if size > max_clusters:
         raise ValueError(f"{size} clusters exceeds the exact-solver cap {max_clusters}")
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.counts.shape[0], : table.counts.shape[1]] = table.counts
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    matched = int(padded[rows, cols].sum())
+    cols = _best_assignment(padded)
+    matched = int(padded[np.arange(size), cols].sum())
     mapping = {
         int(table.pred_values[r]): int(table.true_values[c])
-        for r, c in zip(rows, cols)
+        for r, c in enumerate(cols)
         if r < len(table.pred_values) and c < len(table.true_values)
     }
     return matched / table.n, mapping

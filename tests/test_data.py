@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,28 @@ class TestLoadIdx:
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
         assert out_img.read_bytes() == img.read_bytes()
+
+    def test_save_bytes_are_the_rounded_clipped_pixels(self, rng, tmp_path):
+        features = rng.uniform(-0.5, 1.5, size=(40, 16))
+        # exact halves check numpy's round-half-to-even; the ends check the clip
+        features[0] = (np.arange(16) + 0.5) / 255.0
+        features[1, :4] = [-1.0, 0.0, 1.0, 2.0]
+        ds = Dataset(features, np.arange(40) % 10)
+        save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        pixels = np.clip(np.round(features * 255.0), 0, 255).astype(np.uint8)
+        header = struct.pack(">iiii", IMAGES_MAGIC, 40, 4, 4)
+        assert (tmp_path / "img").read_bytes() == header + pixels.tobytes()
+
+    def test_save_holds_one_float_copy_of_the_features(self, rng, tmp_path):
+        ds = Dataset(rng.random((3050, 784)), np.arange(3050) % 10)
+        tracemalloc.start()
+        try:
+            save_idx(ds, tmp_path / "img", tmp_path / "lab")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 copy plus the uint8 pixels and their bytes; two copies is 2.0x
+        assert peak < 1.5 * ds.features.nbytes
 
 
 class TestLoadCsv:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdec.metrics import (
+    _best_assignment,
     accuracy,
     adjusted_rand_index,
     contingency_table,
@@ -116,6 +117,43 @@ class TestAccuracy:
     def test_cluster_cap(self):
         with pytest.raises(ValueError, match="cap"):
             accuracy([0, 1, 2], [0, 1, 2], max_clusters=2)
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            accuracy([], [])
+
+
+class TestBestAssignment:
+    """The in-repo solver picks scipy's column for every row, ties included."""
+
+    @staticmethod
+    def scipy_columns(weights):
+        optimize = pytest.importorskip("scipy.optimize")
+        rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+        np.testing.assert_array_equal(rows, np.arange(len(weights)))
+        return cols
+
+    @pytest.mark.parametrize("high", [1, 3, 1000])
+    def test_matches_scipy_on_padded_tables(self, rng, high):
+        for _ in range(400):
+            # a rows x cols table zero-padded to square, as accuracy builds it
+            rows, cols = (int(k) for k in rng.integers(0, 13, size=2))
+            size = max(rows, cols)
+            weights = np.zeros((size, size), dtype=np.int64)
+            weights[:rows, :cols] = rng.integers(0, high + 1, size=(rows, cols))
+            np.testing.assert_array_equal(
+                _best_assignment(weights), self.scipy_columns(weights)
+            )
+
+    def test_matches_scipy_at_300(self, rng):
+        weights = rng.integers(0, 50, size=(300, 300))
+        weights[250:] = 0
+        np.testing.assert_array_equal(
+            _best_assignment(weights), self.scipy_columns(weights)
+        )
+
+    def test_constant_table_gives_the_identity(self):
+        np.testing.assert_array_equal(_best_assignment(np.ones((5, 5))), np.arange(5))
 
 
 class TestAri:
