@@ -12,26 +12,16 @@ timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
-deterministic for a fixed thread count).
+deterministic for a fixed thread count). The ``rdec`` package applies it on
+its first import, before numpy loads, for this CLI and library scripts alike.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _pin_threads() -> None:
-    want = os.environ.get("RDEC_NUM_THREADS")
-    if want:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = want
-
-
-_pin_threads()  # must run before numpy initializes its BLAS
-
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -150,7 +140,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Set ``train``: TrainConfig defaults, overridden by the training keys
-        present, then validated."""
+        present, then validated; ``k`` and ``latent_dim`` are checked too."""
         cfg = TrainConfig()
         try:
             for key, value in self.settings.items():
@@ -160,6 +150,13 @@ class ExperimentConfig:
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # dec and rdec fine-tune toward at least two clusters.
+        k_min = 2 if cfg.method in ("dec", "rdec") else 1
+        if self.settings.get("k", k_min) < k_min:
+            raise ConfigError(f"k must be >= {k_min} for method {cfg.method}, "
+                              f"got {self.settings['k']}")
+        if self.settings.get("latent_dim", 1) < 1:
+            raise ConfigError(f"latent_dim must be >= 1, got {self.settings['latent_dim']}")
         self.train = cfg
 
 

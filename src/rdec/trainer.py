@@ -89,6 +89,8 @@ class TrainConfig:
             momentum = getattr(self, name)
             if not 0.0 <= momentum < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {momentum}")
+        if self.kmeans_restarts < 1:
+            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.vat.__post_init__()

@@ -222,6 +222,34 @@ class TestTrainCommand:
         assert "finetune_lr" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_zero_kmeans_restarts_exits_2_before_the_data_loads(self, tmp_path, idx_fixture,
+                                                                capsys, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_idx", no_load)
+        cfg = write_config(tmp_path, idx_fixture)
+        cfg.write_text(cfg.read_text().replace("kmeans.restarts = 5", "kmeans.restarts = 0"))
+        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "kmeans_restarts" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, method, key, value", [
+        ("train", "kmeans", "k", 0),
+        ("train", "dec", "k", 1),
+        ("train", "rdec", "k", 1),
+        ("pretrain", "rdec", "latent_dim", 0),
+    ])
+    def test_too_small_k_or_latent_dim_exits_2(self, tmp_path, idx_fixture, pretrained,
+                                               capsys, command, method, key, value):
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
+        text = cfg.read_text().replace("method = rdec", f"method = {method}")
+        cfg.write_text(text.replace(f"{key} = 2", f"{key} = {value}"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_unknown_optimizer_kind_exits_2(self, tmp_path, idx_fixture, capsys, command):
         # Both phases always use SGD momentum: no optimizer key is left to set.
@@ -552,7 +580,26 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["rdec False", "numpy 1", "rdec.cli True"]
+        assert proc.stdout.splitlines() == ["numpy 1", "rdec True", "rdec.cli True"]
+
+    def test_a_library_import_pins_every_blas_variable_before_numpy(self):
+        code = (
+            "import os, sys\n"
+            "BLAS = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+            "for var in BLAS:\n"
+            "    os.environ.pop(var, None)\n"
+            "os.environ['RDEC_NUM_THREADS'] = '1'\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print(*(os.environ.get(var) for var in BLAS))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import rdec.trainer\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 1 1"]
 
     def test_imports_load_no_scipy(self):
         # ACC's assignment is solved in-repo, so the runtime needs numpy only.

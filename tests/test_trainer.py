@@ -73,6 +73,7 @@ class TestConfigValidation:
         {"max_iter": 0},
         {"alpha": 0.0},
         {"seed": -1},
+        {"kmeans_restarts": 0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
