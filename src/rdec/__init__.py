@@ -32,7 +32,7 @@ from .trainer import (  # noqa: E402
     pretrain,
     run_clustering,
 )
-from .vat import VatConfig, adversarial_perturbation, vat_loss  # noqa: E402
+from .vat import adversarial_perturbation, vat_loss  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -45,5 +45,5 @@ __all__ = [
     "Network", "build_network", "encode", "load_model", "save_model",
     "RunReport", "TrainConfig", "finetune", "label_change_rate", "pretrain",
     "run_clustering",
-    "VatConfig", "adversarial_perturbation", "vat_loss",
+    "adversarial_perturbation", "vat_loss",
 ]

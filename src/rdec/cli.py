@@ -27,7 +27,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -63,8 +63,8 @@ def _parse_str_list(text: str) -> list[str]:
 
 
 # Every legal config key with its parser and, for training settings, the
-# dotted TrainConfig field it sets. Dotted prefixes group related
-# settings; values are plain text after the first '='.
+# TrainConfig field it sets. Dotted key prefixes group related settings;
+# values are plain text after the first '='.
 SCHEMA = {
     "data.format": (str, None),
     "data.images": (_parse_str_list, None),
@@ -86,9 +86,9 @@ SCHEMA = {
     "out": (str, None),
     "gamma": (float, "gamma"),
     "s": (float, "s"),
-    "epsilon": (float, "vat.epsilon"),
-    "xi": (float, "vat.xi"),
-    "ip": (int, "vat.ip"),
+    "epsilon": (float, "epsilon"),
+    "xi": (float, "xi"),
+    "ip": (int, "ip"),
     "tau": (int, "tau"),
     "sigma": (float, "sigma"),
     "max_iter": (int, "max_iter"),
@@ -141,12 +141,10 @@ class ExperimentConfig:
     def __post_init__(self):
         """Set ``train``: TrainConfig defaults, overridden by the training keys
         present, then validated; ``k`` and ``latent_dim`` are checked too."""
-        cfg = TrainConfig()
+        fields = {SCHEMA[key][1]: value for key, value in self.settings.items()
+                  if SCHEMA[key][1] is not None}
+        cfg = TrainConfig(**fields)
         try:
-            for key, value in self.settings.items():
-                field_path = SCHEMA[key][1]
-                if field_path is not None:
-                    cfg = _replace_field(cfg, field_path, value)
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -158,14 +156,6 @@ class ExperimentConfig:
         if self.settings.get("latent_dim", 1) < 1:
             raise ConfigError(f"latent_dim must be >= 1, got {self.settings['latent_dim']}")
         self.train = cfg
-
-
-def _replace_field(obj, field_path: str, value):
-    """Copy of a dataclass with the dotted field ``field_path`` set to value."""
-    name, _, rest = field_path.partition(".")
-    if rest:
-        value = _replace_field(getattr(obj, name), rest, value)
-    return replace(obj, **{name: value})
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -415,20 +405,20 @@ def cmd_train(args) -> int:
     source = _data_source(cfg)
     input_paths = _existing_paths(cfg, source, need_model=needs_model)
 
-    ds = load_dataset(cfg, source)
-    k = cfg.get("k", 10)
     encoder = None
     if needs_model:
         encoder, _ = load_model(cfg.require("model"))
-        if encoder.input_dim != ds.dim:
-            raise ConfigError(
-                f"model expects {encoder.input_dim}-dim inputs, dataset has {ds.dim}"
-            )
         latent = cfg.get("latent_dim")
         if latent is not None and encoder.output_dim != latent:
             raise ConfigError(
                 f"model embeds to {encoder.output_dim} dims, config says {latent}"
             )
+    ds = load_dataset(cfg, source)
+    if encoder is not None and encoder.input_dim != ds.dim:
+        raise ConfigError(
+            f"model expects {encoder.input_dim}-dim inputs, dataset has {ds.dim}"
+        )
+    k = cfg.get("k", 10)
 
     assignments, report = run_clustering(
         method, ds.features, k, cfg.train, encoder=encoder,
@@ -466,6 +456,7 @@ def cmd_train(args) -> int:
 
 
 def _read_label_file(path) -> np.ndarray:
+    """One integer per non-blank line, after an optional non-numeric header."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -473,11 +464,14 @@ def _read_label_file(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                values.append(int(float(text)))
+                value = float(text)
             except ValueError:
                 if lineno == 1:  # header row
                     continue
-                raise ValueError(f"{path}:{lineno}: non-numeric value {text!r}") from None
+                value = None
+            if value is None or not value.is_integer():  # NaN and infinities too
+                raise ValueError(f"{path}:{lineno}: non-integer value {text!r}")
+            values.append(int(value))
     return np.array(values, dtype=np.int64)
 
 

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from . import metrics
+from . import metrics, vat
 from .dec import clustering_grads, kl_divergence, soft_assign, target_distribution
 from .kmeans import kmeans
 from .network import ENCODE_CHUNK, Network, SgdMomentum, backward, encode, forward
 from .tensor import Matrix, check_finite, mse_loss
-from .vat import VatConfig, adversarial_perturbation, vat_loss
+from .vat import adversarial_perturbation, vat_loss
 
 METHODS = ("kmeans", "ae_kmeans", "dec", "rdec")
 ENCODER_METHODS = ("ae_kmeans", "dec", "rdec")  # need a pretrained encoder
@@ -48,7 +48,9 @@ class TrainConfig:
     gamma: float = 5.0
     s: float = 2.0
     alpha: float = 1.0
-    vat: VatConfig = field(default_factory=VatConfig)
+    epsilon: float = 1.0  # VAT perturbation radius, input-space units
+    xi: float = 10.0  # VAT probe scale for the power-iteration gradient
+    ip: int = 1  # VAT power iterations
     tau: int = 140
     sigma: float = 0.01
     max_iter: int = 20_000
@@ -93,7 +95,7 @@ class TrainConfig:
             raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.vat.__post_init__()
+        vat.check_settings(self.epsilon, self.xi, self.ip)
 
 
 @dataclass
@@ -345,7 +347,8 @@ def finetune(
         consistency = 0.0
         if use_vat:
             vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
-            r_adv = adversarial_perturbation(model, x_b, q_b, cfg.vat, vat_rng)
+            r_adv = adversarial_perturbation(model, x_b, q_b, cfg.epsilon, cfg.xi,
+                                             cfg.ip, vat_rng)
             consistency, vat_grads = vat_loss(model, x_b, r_adv, q_ref=q_b)
             check_finite(f"VAT loss at iteration {it}", consistency)
             for g, vg in zip(grads, vat_grads):

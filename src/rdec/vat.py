@@ -2,10 +2,12 @@
 
 The perturbation for each input row is the direction, of fixed Euclidean
 norm epsilon, that most increases the KL between the model's prediction
-on the clean row and on the perturbed row. It is approximated by power
-iteration: probe the KL gradient at a scaled random direction, normalize,
-repeat. The consistency loss then penalizes prediction change under that
-perturbation, treating the clean prediction as a constant.
+on the clean row and on the perturbed row. It is approximated by ip steps
+of power iteration: probe the KL gradient at a random direction scaled by
+xi, normalize, repeat. The consistency loss then penalizes prediction
+change under that perturbation, treating the clean prediction as a
+constant. The trainer reads epsilon, xi and ip from its ``TrainConfig``;
+``check_settings`` holds their ranges for both.
 
 Models are duck-typed; writing q(x) for the model's row-stochastic
 prediction on x, they must expose:
@@ -19,8 +21,6 @@ the trainer does not change meaning with batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Matrix
@@ -29,19 +29,14 @@ from .tensor import Matrix
 _NORM_FLOOR = 1e-30
 
 
-@dataclass
-class VatConfig:
-    epsilon: float = 1.0  # perturbation radius, input-space units
-    xi: float = 10.0  # probe scale for the power-iteration gradient
-    ip: int = 1  # power iterations
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.xi <= 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.ip < 1:
-            raise ValueError(f"ip must be >= 1, got {self.ip}")
+def check_settings(epsilon: float, xi: float, ip: int) -> None:
+    """Raise ValueError unless epsilon and xi are positive and ip is at least 1."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if xi <= 0:
+        raise ValueError(f"xi must be positive, got {xi}")
+    if ip < 1:
+        raise ValueError(f"ip must be >= 1, got {ip}")
 
 
 def _normalize_rows(d: Matrix, fallback: Matrix | None = None) -> Matrix:
@@ -58,19 +53,23 @@ def _normalize_rows(d: Matrix, fallback: Matrix | None = None) -> Matrix:
 
 
 def adversarial_perturbation(
-    model, x: Matrix, q_ref: Matrix, cfg: VatConfig, rng: np.random.Generator
+    model, x: Matrix, q_ref: Matrix, epsilon: float, xi: float, ip: int,
+    rng: np.random.Generator,
 ) -> Matrix:
-    """Per-row adversarial direction of norm epsilon, via power iteration.
+    """Per-row adversarial direction of norm epsilon, via ip power iterations
+    that probe the gradient at distance xi.
 
     q_ref must be the model's prediction on x; it is treated as constant
     throughout. Rows where the probed gradient vanishes (locally flat
-    model) keep their current random direction.
+    model) keep their current random direction. Settings out of range
+    raise ValueError before any probe runs.
     """
+    check_settings(epsilon, xi, ip)
     d = _normalize_rows(rng.standard_normal(x.shape))
-    for _ in range(cfg.ip):
-        grad = model.kl_input_grad(x + cfg.xi * d, q_ref)
+    for _ in range(ip):
+        grad = model.kl_input_grad(x + xi * d, q_ref)
         d = _normalize_rows(grad, fallback=d)
-    return cfg.epsilon * d
+    return epsilon * d
 
 
 def vat_loss(model, x: Matrix, r_adv: Matrix, q_ref: Matrix):

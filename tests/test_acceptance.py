@@ -23,7 +23,7 @@ from rdec.metrics import accuracy, adjusted_rand_index, per_class_prf
 from rdec.network import Layer, Network, build_network
 from rdec.tensor import affine_backward, affine_forward, mse_loss, relu_backward, relu_forward
 from rdec.trainer import ClusterModel, TrainConfig, finetune, pretrain
-from rdec.vat import VatConfig, adversarial_perturbation, vat_loss
+from rdec.vat import adversarial_perturbation, vat_loss
 
 from conftest import numerical_grad, relative_error, two_gaussians
 from test_metrics import brute_force_accuracy
@@ -102,7 +102,7 @@ def test_c1_gradient_suite():
         x = inst.standard_normal((3, 4))
         q_ref = model.predict(x)
         r_adv = adversarial_perturbation(
-            model, x, q_ref, VatConfig(1.0, 1.0, 1), np.random.default_rng(trial + 1)
+            model, x, q_ref, 1.0, 1.0, 1, np.random.default_rng(trial + 1)
         )
         _, grads = vat_loss(model, x, r_adv, q_ref=q_ref)
         x_perturbed = x + r_adv
@@ -157,7 +157,7 @@ def test_c3_vat_suite():
         x = rng.standard_normal((10, 6))
         q_ref = model.predict(x)
         eps = float(rng.uniform(0.2, 3.0))
-        r = adversarial_perturbation(model, x, q_ref, VatConfig(eps, 10.0, 1),
+        r = adversarial_perturbation(model, x, q_ref, eps, 10.0, 1,
                                      np.random.default_rng(1))
         assert np.all(np.abs(np.linalg.norm(r, axis=1) - eps) <= NORM_TOL)
 
@@ -167,7 +167,7 @@ def test_c3_vat_suite():
     )
     x = rng.standard_normal((8, 6))
     q_ref = constant.predict(x)
-    r = adversarial_perturbation(constant, x, q_ref, VatConfig(1.0, 10.0, 1),
+    r = adversarial_perturbation(constant, x, q_ref, 1.0, 10.0, 1,
                                  np.random.default_rng(2))
     loss, _ = vat_loss(constant, x, r, q_ref)
     assert loss == pytest.approx(0.0, abs=1e-15)
@@ -176,7 +176,7 @@ def test_c3_vat_suite():
     model, data = trained_toy_model(seed=0)
     x = data[:200]
     q_ref = model.predict(x)
-    r_adv = adversarial_perturbation(model, x, q_ref, VatConfig(1.0, 1.0, 2),
+    r_adv = adversarial_perturbation(model, x, q_ref, 1.0, 1.0, 2,
                                      np.random.default_rng(11))
     random_dirs = np.random.default_rng(13).standard_normal(x.shape)
     random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
@@ -332,11 +332,9 @@ def load_mnist_06():
 
 
 def desk_config(method, seed):
-    cfg = TrainConfig(method=method, gamma=5.0 if method == "rdec" else 0.0,
-                      s=2.0, tau=140, sigma=0.01, max_iter=20_000,
-                      batch_size=256, pretrain_epochs=300, seed=seed)
-    cfg.vat = VatConfig(epsilon=1.0, xi=10.0, ip=1)
-    return cfg
+    return TrainConfig(method=method, gamma=5.0 if method == "rdec" else 0.0,
+                       s=2.0, epsilon=1.0, xi=10.0, ip=1, tau=140, sigma=0.01,
+                       max_iter=20_000, batch_size=256, pretrain_epochs=300, seed=seed)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import Dataset, load_idx, save_csv, save_idx
 from rdec.network import encode, load_model
 from rdec.trainer import TrainConfig
-from rdec.vat import VatConfig
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +182,19 @@ class TestTrainCommand:
         assert len(siblings) == 3
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
-    def test_latent_dim_mismatch_exits_2(self, tmp_path, idx_fixture, pretrained):
+    def test_latent_dim_mismatch_exits_2(self, tmp_path, idx_fixture, pretrained,
+                                         capsys, monkeypatch):
+        # The model's embedding width is checked before the data loads.
+        loads = []
+        monkeypatch.setattr(cli, "load_idx", lambda *args, **kwargs: loads.append(args))
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
                            extra="")
         text = cfg.read_text().replace("latent_dim = 2", "latent_dim = 5")
         cfg.write_text(text)
-        assert main(["train", "--config", str(cfg)]) == 2
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "model embeds to 2 dims, config says 5" in capsys.readouterr().err
+        assert loads == []
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_key_exits_2(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture, extra="bogus_key = 1\n")
@@ -281,8 +287,7 @@ kmeans.restarts = 3
 """
 
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
-    method="dec", seed=7, gamma=0.5, s=3.0,
-    vat=VatConfig(epsilon=0.25, xi=4.0, ip=2),
+    method="dec", seed=7, gamma=0.5, s=3.0, epsilon=0.25, xi=4.0, ip=2,
     tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
     pretrain_lr=0.003, pretrain_momentum=0.8, finetune_lr=0.002, finetune_momentum=0.6,
     kmeans_restarts=3,
@@ -321,8 +326,7 @@ class TestTrainConfigMapping:
     def test_each_key_changes_only_its_field(self):
         defaults = TrainConfig()
         base = ExperimentConfig(settings={"epsilon": 0.5}).train
-        assert base.vat == VatConfig(epsilon=0.5)
-        assert base == replace(defaults, vat=VatConfig(epsilon=0.5))
+        assert base == replace(defaults, epsilon=0.5)
         lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train
         assert lr == replace(defaults, pretrain_lr=0.5)
 
@@ -351,9 +355,20 @@ class TestTrainConfigMapping:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
         assert calls == {"TrainConfig": 1, "_data_source": 1}
 
-    def test_bad_vat_value_is_a_config_error(self, tmp_path, idx_fixture):
-        cfg = write_config(tmp_path, idx_fixture, extra="epsilon = 0\n")
-        assert main(["train", "--config", str(cfg)]) == 2
+    def test_bad_vat_value_is_a_config_error(self, tmp_path, idx_fixture, capsys,
+                                             monkeypatch):
+        # Each exits 2 with TrainConfig.validate's message before the data loads.
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_idx", no_load)
+        for line, message in [("epsilon = 0", "epsilon must be positive, got 0.0"),
+                              ("xi = -1", "xi must be positive, got -1.0"),
+                              ("ip = 0", "ip must be >= 1, got 0")]:
+            cfg = write_config(tmp_path, idx_fixture, extra=line + "\n")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "r").exists()
 
 
 class TestEvalCommand:
@@ -421,6 +436,22 @@ class TestEvalCommand:
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 2
         err = capsys.readouterr().err
         assert "no values" in err and "l.csv" in err
+
+    @pytest.mark.parametrize("text, lineno, value", [
+        ("0\n1.5\n2.7\n", 2, "1.5"),  # fractions were truncated to 0, 1, 2
+        ("nan\n0\n1\n", 1, "nan"),  # a first-line NaN was skipped as a header
+        ("0\ninf\n1\n", 2, "inf"),  # an infinity was a bare OverflowError
+    ], ids=["fraction", "first-line-nan", "infinity"])
+    def test_non_integer_value_is_rejected_by_file_and_line(self, tmp_path, capsys,
+                                                           text, lineno, value):
+        assign, labels = tmp_path / "a.csv", tmp_path / "l.csv"
+        assign.write_text(text)
+        labels.write_text("0\n1\n2\n")
+        assert main(["eval", str(assign), str(labels)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: ValueError: {assign}:{lineno}: "
+                                f"non-integer value {value!r}\n")
 
 
 class TestSubsampleCommand:
@@ -549,17 +580,6 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "pretrain" in proc.stdout
 
-    def test_thread_env_var_is_applied_before_numpy(self):
-        code = (
-            "import os; os.environ['RDEC_NUM_THREADS'] = '1'; "
-            "import rdec.cli; "
-            "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout.split() == ["1", "1"]
-
     def test_imports_load_no_numpy_before_threads_are_pinned(self):
         # A finder sees the first numpy import and prints the BLAS pin it finds.
         code = (
@@ -582,19 +602,21 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["numpy 1", "rdec True", "rdec.cli True"]
 
-    def test_a_library_import_pins_every_blas_variable_before_numpy(self):
+    @pytest.mark.parametrize("module", ["rdec.trainer", "rdec.cli"])
+    def test_a_library_import_pins_every_blas_variable_before_numpy(self, module):
+        # The pin replaces values already set, and numpy first loads after it.
         code = (
             "import os, sys\n"
             "BLAS = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
             "for var in BLAS:\n"
-            "    os.environ.pop(var, None)\n"
+            "    os.environ[var] = '3'\n"
             "os.environ['RDEC_NUM_THREADS'] = '1'\n"
             "class Probe:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
             "        if name == 'numpy':\n"
             "            print(*(os.environ.get(var) for var in BLAS))\n"
             "sys.meta_path.insert(0, Probe())\n"
-            "import rdec.trainer\n"
+            f"import {module}\n"
         )
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)

@@ -7,6 +7,7 @@ norm of 28x28 pixels (the radius is a data-dependent hyperparameter).
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from rdec.data import Dataset, SubsampleSpec, subsample
 from rdec.metrics import accuracy, per_class_prf
 from rdec.network import build_network
 from rdec.trainer import TrainConfig, finetune, pretrain
-from rdec.vat import VatConfig
 
 sklearn_datasets = pytest.importorskip("sklearn.datasets")
 
@@ -37,10 +37,7 @@ def run_both_methods(ds, seed=0, epsilon=0.5):
     out = {}
     for method, gamma in (("dec", 0.0), ("rdec", 5.0)):
         enc = copy.deepcopy(encoder)
-        run_cfg = copy.deepcopy(cfg)
-        run_cfg.method = method
-        run_cfg.gamma = gamma
-        run_cfg.vat = VatConfig(epsilon=epsilon, xi=10.0, ip=1)
+        run_cfg = replace(cfg, method=method, gamma=gamma, epsilon=epsilon, xi=10.0, ip=1)
         assignments, report = finetune(enc, ds.features, 2, run_cfg,
                                        labels=ds.labels)
         acc, mapping = accuracy(ds.labels, assignments)

@@ -28,7 +28,6 @@ EXPORTS = {
     "label_change_rate": "trainer",
     "pretrain": "trainer",
     "run_clustering": "trainer",
-    "VatConfig": "vat",
     "adversarial_perturbation": "vat",
     "vat_loss": "vat",
 }

@@ -74,6 +74,9 @@ class TestConfigValidation:
         {"alpha": 0.0},
         {"seed": -1},
         {"kmeans_restarts": 0},
+        {"epsilon": 0.0},
+        {"xi": 0.0},
+        {"ip": 0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -432,7 +435,7 @@ class TestOneDistancePassPerKl:
         steps = 7
         cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
                           batch_size=16, seed=5)
-        assert cfg.vat.ip == 1
+        assert cfg.ip == 1
         _, report = finetune(small_encoder(3), data, 2, cfg)
         assert report.stop_reason == "max_iterations"
         assert len(report.iterations) == steps
@@ -458,7 +461,7 @@ class TestOneDistancePassPerKl:
         steps = 7
         cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
                           batch_size=16, seed=5)
-        assert cfg.vat.ip == 1
+        assert cfg.ip == 1
         _, report = finetune(small_encoder(3), data, 2, cfg)
         assert len(report.iterations) == steps
         # plus the checkpoint loss of the refresh at iteration 0

@@ -4,7 +4,7 @@ import pytest
 from rdec.dec import kl_divergence
 from rdec.network import Layer, Network
 from rdec.trainer import ClusterModel, TrainConfig, finetune
-from rdec.vat import VatConfig, adversarial_perturbation, vat_loss
+from rdec.vat import adversarial_perturbation, vat_loss
 
 from conftest import numerical_grad, relative_error, two_gaussians
 
@@ -26,36 +26,30 @@ def per_row_kl(p, q):
     return terms.sum(axis=1)
 
 
-class TestVatConfig:
-    def test_defaults(self):
-        cfg = VatConfig()
-        assert (cfg.epsilon, cfg.xi, cfg.ip) == (1.0, 10.0, 1)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"epsilon": 0.0}, {"epsilon": -1.0}, {"xi": 0.0}, {"ip": 0},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            VatConfig(**kwargs)
-
-
 class TestPerturbationNorm:
     @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.5])
     def test_rows_have_norm_epsilon(self, epsilon, rng):
         model = small_model(rng)
         x = rng.standard_normal((12, 4))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=epsilon, xi=10.0, ip=1)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(0))
+        r = adversarial_perturbation(model, x, q_ref, epsilon, 10.0, 1,
+                                     np.random.default_rng(0))
         np.testing.assert_allclose(np.linalg.norm(r, axis=1), epsilon, atol=1e-6)
 
     def test_multiple_power_iterations(self, rng):
         model = small_model(rng)
         x = rng.standard_normal((6, 4))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=1.0, xi=1.0, ip=3)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(1))
+        r = adversarial_perturbation(model, x, q_ref, 1.0, 1.0, 3, np.random.default_rng(1))
         np.testing.assert_allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-6)
+
+
+    def test_a_direct_call_rejects_a_bad_setting(self, rng):
+        model = small_model(rng)
+        x = rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match="epsilon must be positive, got -1.0"):
+            adversarial_perturbation(model, x, model.predict(x), -1.0, 10.0, 1,
+                                     np.random.default_rng(0))
 
 
 class TestConstantModel:
@@ -69,8 +63,8 @@ class TestConstantModel:
         model = self.make_constant()
         x = rng.standard_normal((5, 3))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=2.0, xi=10.0, ip=1)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(99))
+        r = adversarial_perturbation(model, x, q_ref, 2.0, 10.0, 1,
+                                     np.random.default_rng(99))
         raw = np.random.default_rng(99).standard_normal(x.shape)
         expected = 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
         np.testing.assert_allclose(r, expected, atol=1e-12)
@@ -79,8 +73,7 @@ class TestConstantModel:
         model = self.make_constant()
         x = rng.standard_normal((5, 3))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=1.0, xi=10.0, ip=1)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(0))
+        r = adversarial_perturbation(model, x, q_ref, 1.0, 10.0, 1, np.random.default_rng(0))
         loss, grads = vat_loss(model, x, r, q_ref)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
@@ -93,8 +86,7 @@ class TestAxisAlignedToy:
         model = ClusterModel(net, centroids)
         x = rng.uniform(-1.0, 2.0, size=(20, 2))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=1.0, xi=0.1, ip=1)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(5))
+        r = adversarial_perturbation(model, x, q_ref, 1.0, 0.1, 1, np.random.default_rng(5))
         np.testing.assert_allclose(np.abs(r[:, 0]), 1.0, atol=1e-9)
         np.testing.assert_allclose(r[:, 1], 0.0, atol=1e-9)
 
@@ -113,8 +105,7 @@ class TestVatLoss:
             model = small_model(np.random.default_rng(trial))
             x = rng.standard_normal((5, 4))
             q_ref = model.predict(x)
-            cfg = VatConfig(epsilon=1.0, xi=10.0, ip=1)
-            r = adversarial_perturbation(model, x, q_ref, cfg,
+            r = adversarial_perturbation(model, x, q_ref, 1.0, 10.0, 1,
                                          np.random.default_rng(trial))
             loss, _ = vat_loss(model, x, r, q_ref=q_ref)
             assert loss >= -1e-12
@@ -123,8 +114,7 @@ class TestVatLoss:
         model = small_model(rng, in_dim=4, hidden=6, latent=2, k=2)
         x = rng.standard_normal((3, 4))
         q_ref = model.predict(x)
-        cfg = VatConfig(epsilon=1.0, xi=10.0, ip=1)
-        r = adversarial_perturbation(model, x, q_ref, cfg, np.random.default_rng(7))
+        r = adversarial_perturbation(model, x, q_ref, 1.0, 10.0, 1, np.random.default_rng(7))
         _, grads = vat_loss(model, x, r, q_ref=q_ref)
 
         params = model.parameters()
@@ -181,8 +171,7 @@ class TestAdversariality:
         model, data = trained_toy_model(seed=0)
         x = data[:200]
         q_ref = model.predict(x)
-        vat_cfg = VatConfig(epsilon=1.0, xi=1.0, ip=2)
-        r_adv = adversarial_perturbation(model, x, q_ref, vat_cfg,
+        r_adv = adversarial_perturbation(model, x, q_ref, 1.0, 1.0, 2,
                                          np.random.default_rng(11))
         random_dirs = np.random.default_rng(13).standard_normal(x.shape)
         random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
