@@ -130,26 +130,24 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     return Dataset(features=features, labels=labels, name=name)
 
 
-def save_idx(ds: Dataset, images_path, labels_path, side: int | None = None) -> None:
+def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Write a dataset back to an IDX pair, rescaling features to bytes.
 
-    Exact round-trip for IDX-loaded data (values k/255). Feature counts
-    must form a square image unless `side` is given.
+    Exact round-trip for IDX-loaded data (values k/255). Each row must
+    form a square image.
     """
     if ds.labels is None:
         raise ValueError("save_idx needs labels")
-    if side is None:
-        side = int(round(ds.dim**0.5))
-        if side * side != ds.dim:
-            raise ValueError(f"feature dim {ds.dim} is not square; pass side explicitly")
-    rows, cols = side, ds.dim // side
+    side = int(round(ds.dim**0.5))
+    if side * side != ds.dim:
+        raise ValueError(f"feature dim {ds.dim} is not a square image size")
     # one float64 temporary, rounded and clipped in place; rebinding frees it
     pixels = ds.features * 255.0
     np.round(pixels, out=pixels)
     np.clip(pixels, 0, 255, out=pixels)
     pixels = pixels.astype(np.uint8)
     with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, rows, cols))
+        fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, side, side))
         fh.write(pixels.tobytes())
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">ii", LABELS_MAGIC, ds.n))
@@ -159,8 +157,8 @@ def save_idx(ds: Dataset, images_path, labels_path, side: int | None = None) -> 
 def load_csv(path, label_column: str | None = None, name: str = "csv") -> Dataset:
     """Load a rectangular numeric CSV with a header row.
 
-    When label_column is given, that column becomes the integer labels and
-    the remaining columns the features.
+    When label_column is given, that column becomes the integer labels (each
+    a finite integral value) and the remaining columns the features.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
@@ -198,9 +196,13 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
         raise
     if label_idx is None:
         return Dataset(features=values, labels=None, name=name)
-    labels = values[:, label_idx].astype(np.int64)
+    labels = values[:, label_idx]
+    bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-integer label "
+                         f"{rows[bad[0]][label_idx]!r} in column {label_column!r}")
     features = np.delete(values, label_idx, axis=1)
-    return Dataset(features=features, labels=labels, name=name)
+    return Dataset(features=features, labels=labels.astype(np.int64), name=name)
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:

@@ -122,32 +122,22 @@ LayerStep = Callable[[int, Matrix, np.ndarray], None]
 
 
 def backward(
-    net: Network,
-    caches: list[Matrix],
-    grad_out: Matrix,
-    need_input_grad: bool = False,
-    need_param_grads: bool = True,
-    step: LayerStep | None = None,
-) -> tuple[list[np.ndarray] | None, Matrix | None]:
+    net: Network, caches: list[Matrix], grad_out: Matrix, step: LayerStep | None = None
+) -> Matrix | None:
     """Backpropagate grad_out through the stack; grad_out is never written.
 
-    Returns gradients aligned with ``net.parameters()`` plus the gradient
-    with respect to the input batch when requested. Skipping parameter
-    gradients (input-gradient probes) avoids the weight-gradient matmuls;
-    not requesting the input gradient skips the first layer's
-    input-gradient matmul.
+    Without ``step`` this is the input-gradient probe: it returns the
+    gradient with respect to the input batch and runs no weight-gradient
+    matmuls.
 
     With ``step``, each layer's gradients go to ``step(i, grad_weight,
-    grad_bias)`` from the top layer down instead of into the returned
-    list, which is then None. The call comes after layer i's input
-    gradient has been taken with the old weights, so ``step`` may update
-    the layer in place, and the arrays are dropped before the next layer's
-    are made: at most one layer's parameter gradients are live at a time.
+    grad_bias)`` from the top layer down, the first layer's input-gradient
+    matmul is skipped, and the return value is None. The call comes after
+    layer i's input gradient has been taken with the old weights, so
+    ``step`` may update the layer in place, and the arrays are dropped
+    before the next layer's are made: at most one layer's parameter
+    gradients are live at a time.
     """
-    if step is not None and not need_param_grads:
-        raise ValueError("backward: a per-layer step needs the parameter gradients")
-    keep = need_param_grads and step is None
-    grads = [None] * (2 * len(net.layers)) if keep else None
     grad = grad_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -157,18 +147,15 @@ def backward(
         if layer.activation == RELU:
             # Masks in place: every grad but the caller's is this pass's own.
             grad = relu_backward(grad.copy() if grad is grad_out else grad, out)
-        if not need_param_grads:
+        if step is None:
             grad = grad @ layer.weight.T
             continue
         grad, grad_weight, grad_bias = affine_backward(
-            grad, caches[i], layer.weight, need_input_grad=need_input_grad or i > 0
+            grad, caches[i], layer.weight, need_input_grad=i > 0
         )
-        if keep:
-            grads[2 * i], grads[2 * i + 1] = grad_weight, grad_bias
-        else:
-            step(i, grad_weight, grad_bias)
+        step(i, grad_weight, grad_bias)
         del grad_weight, grad_bias
-    return grads, (grad if need_input_grad else None)
+    return grad
 
 
 # Full-dataset passes stream fixed row chunks so activation memory does

@@ -45,8 +45,8 @@ def affine_backward(
     """Gradients of the affine map at input x: (grad_input, grad_weight, grad_bias).
 
     With ``need_input_grad=False`` the input-gradient matmul is skipped and
-    ``grad_input`` is None; the first layer of a stack never needs it
-    unless the caller asked for the gradient with respect to the data.
+    ``grad_input`` is None; a stepped ``network.backward`` skips it at the
+    first layer of a stack, whose input gradient nothing reads.
     """
     if grad_out.shape != (x.shape[0], weight.shape[1]) or x.shape[1] != weight.shape[0]:
         raise ShapeMismatchError(

@@ -67,6 +67,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name, value in (("gamma", self.gamma), ("s", self.s), ("alpha", self.alpha)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.s < 1.0:
@@ -146,34 +149,38 @@ class ClusterModel:
         z = encode(self.encoder, x)
         return soft_assign(z, self.centroids, self.alpha)
 
-    def _kl_forward_backward(self, x: Matrix, q_ref: Matrix, need_input: bool,
-                             need_params: bool):
+    def _kl_forward_backward(self, x: Matrix, q_ref: Matrix, need_params: bool):
         """Mean-row KL(q_ref || predict(x)) from one forward, one distance
         pass and one backward.
 
-        Returns (loss, q, grad_x, grads): q is the prediction on x, grad_x
-        is None unless need_input, and loss and grads are None unless
-        need_params; grads lists the encoder gradients followed by the
-        centroid gradient.
+        Returns (loss, q, grad), q being the prediction on x. With
+        need_params, loss is the KL and grad lists the gradients aligned
+        with ``parameters()``, collected layer by layer from backward's
+        hand-off, the centroid gradient last. Without, loss is None and
+        grad is the input gradient from backward's probe.
         """
         n = x.shape[0]
         z, caches = forward(self.encoder, x)
         q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
-        loss = kl_divergence(q_ref, q) / n if need_params else None
-        param_grads, grad_x = backward(
-            self.encoder, caches, grad_z / n,
-            need_input_grad=need_input, need_param_grads=need_params,
-        )
-        grads = None if param_grads is None else [*param_grads, grad_centroids / n]
-        return loss, q, grad_x, grads
+        if not need_params:
+            return None, q, backward(self.encoder, caches, grad_z / n)
+        loss = kl_divergence(q_ref, q) / n
+        grads = [None] * (2 * len(self.encoder.layers))
+
+        def keep(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
+            grads[2 * i], grads[2 * i + 1] = grad_weight, grad_bias
+
+        backward(self.encoder, caches, grad_z / n, step=keep)
+        grads.append(grad_centroids / n)
+        return loss, q, grads
 
     def kl_input_grad(self, x: Matrix, q_ref: Matrix) -> Matrix:
         """d/dx of mean-row KL(q_ref || predict(x)), q_ref constant."""
-        return self._kl_forward_backward(x, q_ref, True, False)[2]
+        return self._kl_forward_backward(x, q_ref, False)[2]
 
     def kl_param_grads(self, x: Matrix, q_ref: Matrix):
         """Mean-row KL(q_ref || predict(x)) and gradients per parameter."""
-        loss, _, _, grads = self._kl_forward_backward(x, q_ref, False, True)
+        loss, _, grads = self._kl_forward_backward(x, q_ref, True)
         return loss, grads
 
 
@@ -339,9 +346,7 @@ def finetune(
         idx = next(batch_iter)
         x_b = data[idx]
         # The clean prediction q_b is also the VAT reference.
-        clustering, q_b, _, grads = model._kl_forward_backward(
-            x_b, target_full[idx], False, True
-        )
+        clustering, q_b, grads = model._kl_forward_backward(x_b, target_full[idx], True)
         check_finite(f"clustering loss at iteration {it}", clustering)
 
         consistency = 0.0

@@ -30,7 +30,10 @@ _NORM_FLOOR = 1e-30
 
 
 def check_settings(epsilon: float, xi: float, ip: int) -> None:
-    """Raise ValueError unless epsilon and xi are positive and ip is at least 1."""
+    """Raise ValueError unless epsilon and xi are finite positives and ip >= 1."""
+    for name, value in (("epsilon", epsilon), ("xi", xi)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if xi <= 0:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rdec.network import backward
+
 
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_makereport(item, call):
@@ -22,6 +24,18 @@ def pytest_runtest_makereport(item, call):
                 status = "FAIL"
             print(f"\n[acceptance criterion {number}] {status}: {description}")
     return report
+
+
+def step_grads(net, caches, grad_out) -> list[np.ndarray]:
+    """``network.backward``'s per-layer hand-off collected into a list aligned
+    with ``net.parameters()``; the stepped call must return None."""
+    grads = [None] * (2 * len(net.layers))
+
+    def keep(i, grad_weight, grad_bias):
+        grads[2 * i], grads[2 * i + 1] = grad_weight, grad_bias
+
+    assert backward(net, caches, grad_out, step=keep) is None
+    return grads
 
 
 def numerical_grad(f, x, h: float = 1e-5) -> np.ndarray:

@@ -364,8 +364,12 @@ class TestTrainConfigMapping:
         monkeypatch.setattr(cli, "load_idx", no_load)
         for line, message in [("epsilon = 0", "epsilon must be positive, got 0.0"),
                               ("xi = -1", "xi must be positive, got -1.0"),
-                              ("ip = 0", "ip must be >= 1, got 0")]:
-            cfg = write_config(tmp_path, idx_fixture, extra=line + "\n")
+                              ("ip = 0", "ip must be >= 1, got 0"),
+                              ("gamma = nan", "gamma must be finite, got nan"),
+                              ("epsilon = inf", "epsilon must be finite, got inf")]:
+            cfg = write_config(tmp_path, idx_fixture)
+            # the line takes the place of the base config's gamma
+            cfg.write_text(cfg.read_text().replace("gamma = 1\n", "") + line + "\n")
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "r").exists()

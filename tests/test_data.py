@@ -109,6 +109,12 @@ class TestLoadIdx:
         header = struct.pack(">iiii", IMAGES_MAGIC, 40, 4, 4)
         assert (tmp_path / "img").read_bytes() == header + pixels.tobytes()
 
+    def test_save_rejects_non_square_rows(self, rng, tmp_path):
+        ds = Dataset(rng.random((3, 10)), np.arange(3))
+        with pytest.raises(ValueError, match="feature dim 10 is not a square image size"):
+            save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        assert not (tmp_path / "img").exists()
+
     def test_save_holds_one_float_copy_of_the_features(self, rng, tmp_path):
         ds = Dataset(rng.random((3050, 784)), np.arange(3050) % 10)
         tracemalloc.start()
@@ -155,6 +161,14 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n3,oops\n")
         with pytest.raises(ValueError, match="oops"):
             load_csv(path)
+
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf"])
+    def test_non_integer_label_named_by_line_and_column(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,label\n1.0,2\n3.0,{label}\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path, label_column="label")
+        assert str(info.value) == f"{path}:3: non-integer label '{label}' in column 'label'"
 
     def test_round_trip_with_writer(self, tmp_path, rng):
         ds = Dataset(

@@ -4,7 +4,11 @@ against verbatim copies of the implementations they replaced.
 The replaced code kept a ``LayerCache`` (input and pre-activation) per
 affine and ReLU layer, built ReLU outputs out of place, masked gradients
 out of place, and updated each parameter array in three whole-array
-passes. Every result of the current code must equal it bit for bit.
+passes. Its backward returned a list of parameter gradients and, on
+request, the input gradient; the current one either hands each layer's
+gradients to a step or returns the input gradient, so each old call is
+compared with the new paths that cover its flags. Every result of the
+current code must equal the old one bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import pytest
 from rdec import network
 from rdec.network import Layer, Network, SgdMomentum, STEP_CHUNK, backward, build_network, forward
 from rdec.tensor import ShapeMismatchError, mse_loss, relu_backward, relu_forward
+
+from conftest import step_grads
 
 # NaN and Inf inputs are deliberate here.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -224,25 +230,22 @@ class TestReluPrimitives:
 
 # --- network forward/backward -----------------------------------------------
 
-def compare_pass(net, x, grad_out, need_input_grad, need_param_grads):
+def compare_pass(net, x, grad_out, input_grad, param_grads):
+    """The old pass with these flags against the new paths that cover
+    them: the hand-off for the parameter gradients, the probe for the
+    input gradient."""
     old_out, old_caches = old_forward(net, x)
-    old_grads, old_gx = old_backward(net, old_caches, grad_out.copy(),
-                                     need_input_grad, need_param_grads)
+    old_grads, old_gx = old_backward(net, old_caches, grad_out.copy(), input_grad, param_grads)
     x_before = x.copy()
     out, caches = forward(net, x)
     grad_before = grad_out.copy()
-    grads, gx = backward(net, caches, grad_out, need_input_grad, need_param_grads)
+    assert_bitwise(out, old_out)
+    if param_grads:
+        assert_all_bitwise(step_grads(net, caches, grad_out), old_grads)
+    if input_grad:
+        assert_bitwise(backward(net, caches, grad_out), old_gx)
     assert_bitwise(x, x_before)
     assert_bitwise(grad_out, grad_before)
-    assert_bitwise(out, old_out)
-    if need_param_grads:
-        assert_all_bitwise(grads, old_grads)
-    else:
-        assert grads is None and old_grads is None
-    if need_input_grad:
-        assert_bitwise(gx, old_gx)
-    else:
-        assert gx is None and old_gx is None
 
 
 class TestForwardBackwardOracle:
@@ -277,15 +280,19 @@ class TestBackwardLeavesGradOutAlone:
         out, caches = forward(net, x)
         grad_out = rng.standard_normal(out.shape)
         before = grad_out.copy()
-        backward(net, caches, grad_out, *flags)
+        input_grad, param_grads = flags
+        if param_grads:
+            step_grads(net, caches, grad_out)
+        if input_grad:
+            backward(net, caches, grad_out)
         assert_bitwise(grad_out, before)
 
     def test_wrong_grad_shape_is_rejected_on_both_paths(self, rng):
         net = relu_net(rng, (4, 6, 3))
         _, caches = forward(net, rng.standard_normal((8, 4)))
-        for need_params in (True, False):
+        for step in (lambda i, grad_weight, grad_bias: None, None):
             with pytest.raises(ShapeMismatchError):
-                backward(net, caches, np.ones((7, 3)), True, need_params)
+                backward(net, caches, np.ones((7, 3)), step=step)
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -335,6 +342,12 @@ def pretrain_steps(encoder, decoder, batches, fwd, bwd, mse, optimizer):
     return losses, params
 
 
+def new_backward(net, caches, grad_out, need_input_grad=False):
+    """The old list-returning call, made of the probe and the hand-off."""
+    grad_in = backward(net, caches, grad_out) if need_input_grad else None
+    return step_grads(net, caches, grad_out), grad_in
+
+
 def test_twenty_canonical_pretraining_steps_match(rng):
     encoder, decoder = build_network(784, 10, seed=5)
     old_nets = copy.deepcopy((encoder, decoder))
@@ -345,7 +358,7 @@ def test_twenty_canonical_pretraining_steps_match(rng):
         batches.append(x)
     old_losses, old_params = pretrain_steps(*old_nets, batches, old_forward, old_backward,
                                             old_mse_loss, OldSgdMomentum(lr=1.0, momentum=0.9))
-    losses, params = pretrain_steps(encoder, decoder, batches, forward, backward,
+    losses, params = pretrain_steps(encoder, decoder, batches, forward, new_backward,
                                     mse_loss, SgdMomentum(lr=1.0, momentum=0.9))
     assert_bitwise(losses, old_losses)
     assert_all_bitwise(params, old_params)

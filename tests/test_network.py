@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from rdec import network
 from rdec.network import (
     Adam,
     Layer,
@@ -15,7 +16,9 @@ from rdec.network import (
     load_model,
     save_model,
 )
-from rdec.tensor import ShapeMismatchError, affine_backward, affine_forward
+from rdec.tensor import ShapeMismatchError, affine_backward, affine_forward, relu_backward
+
+from conftest import step_grads
 
 
 class TestBuildNetwork:
@@ -158,38 +161,56 @@ class TestEncode:
         assert peak - output < 2 * net_mod.ENCODE_CHUNK * 2000 * 8
 
 
+def list_backward(net, caches, grad_out):
+    """Reference pass from the tensor primitives: every layer's gradients in
+    a list aligned with ``net.parameters()``, and the input gradient."""
+    grads = [None] * (2 * len(net.layers))
+    grad = grad_out.copy()
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.activation == network.RELU:
+            grad = relu_backward(grad, caches[i + 1])
+        grad, grads[2 * i], grads[2 * i + 1] = affine_backward(grad, caches[i], layer.weight)
+    return grads, grad
+
+
 class TestBackwardPlumbing:
     def test_param_grads_alignment(self, rng):
         net = tiny_net(rng)
         x = rng.standard_normal((5, 4))
         out, caches = forward(net, x)
-        grads, grad_in = backward(net, caches, np.ones_like(out), need_input_grad=True)
+        grads = step_grads(net, caches, np.ones_like(out))
         params = net.parameters()
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
-        assert grad_in.shape == x.shape
+        assert backward(net, caches, np.ones_like(out)).shape == x.shape
 
     def test_input_grad_only_path_matches(self, rng):
         net = tiny_net(rng)
         x = rng.standard_normal((5, 4))
         out, caches = forward(net, x)
         seed_grad = rng.standard_normal(out.shape)
-        _, gi_full = backward(net, caches, seed_grad, need_input_grad=True)
-        grads, gi_lean = backward(net, caches, seed_grad, need_input_grad=True,
-                                  need_param_grads=False)
-        assert grads is None
-        np.testing.assert_allclose(gi_lean, gi_full, rtol=0, atol=1e-14)
+        _, gi_full = list_backward(net, caches, seed_grad)
+        np.testing.assert_array_equal(backward(net, caches, seed_grad), gi_full)
 
-    def test_skipping_input_grad_keeps_param_grads(self, rng):
+    def test_skipping_input_grad_keeps_param_grads(self, rng, monkeypatch):
+        # The hand-off never forms the first layer's input gradient.
         net = tiny_net(rng, dims=(4, 6, 5, 2))
         x = rng.standard_normal((5, 4))
         out, caches = forward(net, x)
         seed_grad = rng.standard_normal(out.shape)
-        grads_full, gi = backward(net, caches, seed_grad, need_input_grad=True)
-        grads_lean, gi_none = backward(net, caches, seed_grad, need_input_grad=False)
-        assert gi.shape == x.shape and gi_none is None
-        for g_lean, g_full in zip(grads_lean, grads_full):
+        grads_full, _ = list_backward(net, caches, seed_grad)
+        flags = []
+
+        def recording(grad_out, x, weight, need_input_grad=True):
+            flags.append(need_input_grad)
+            return affine_backward(grad_out, x, weight, need_input_grad)
+
+        monkeypatch.setattr(network, "affine_backward", recording)
+        grads_lean = step_grads(net, caches, seed_grad)
+        assert flags == [True, True, False]
+        for g_lean, g_full in zip(grads_lean, grads_full, strict=True):
             np.testing.assert_array_equal(g_lean, g_full)
 
     def test_affine_backward_without_input_grad(self, rng):
@@ -206,7 +227,7 @@ class TestBackwardPlumbing:
 
 class TestBackwardHandOff:
     """``backward(..., step=...)`` hands each layer's gradients over as soon
-    as they exist instead of returning a list."""
+    as they exist; the reference collects them all in a list."""
 
     def _setup(self, rng):
         net = tiny_net(rng, dims=(4, 6, 5, 3, 2))
@@ -217,35 +238,29 @@ class TestBackwardHandOff:
     def test_layers_come_from_the_top_down(self, rng):
         net, _, caches, seed_grad = self._setup(rng)
         seen = []
-        grads, _ = backward(net, caches, seed_grad, step=lambda i, gw, gb: seen.append(i))
-        assert grads is None
+        assert backward(net, caches, seed_grad,
+                        step=lambda i, gw, gb: seen.append(i)) is None
         assert seen == [3, 2, 1, 0]
 
     def test_grads_equal_the_list_path_bit_for_bit(self, rng):
         net, _, caches, seed_grad = self._setup(rng)
-        want, gi_list = backward(net, caches, seed_grad, need_input_grad=True)
-        got = {}
-
-        def keep(i, grad_weight, grad_bias):
-            got[i] = (grad_weight, grad_bias)
-
-        _, gi_step = backward(net, caches, seed_grad, need_input_grad=True, step=keep)
-        for i in range(len(net.layers)):
-            np.testing.assert_array_equal(got[i][0], want[2 * i])
-            np.testing.assert_array_equal(got[i][1], want[2 * i + 1])
-        np.testing.assert_array_equal(gi_step, gi_list)
+        want, gi_want = list_backward(net, caches, seed_grad)
+        for got, w in zip(step_grads(net, caches, seed_grad), want, strict=True):
+            np.testing.assert_array_equal(got, w)
+        np.testing.assert_array_equal(backward(net, caches, seed_grad), gi_want)
 
     def test_in_place_update_does_not_reach_the_input_gradient(self, rng):
+        # Layer i steps only after its input gradient is taken, so each
+        # lower layer still gets the gradient through the old weights.
         net, _, caches, seed_grad = self._setup(rng)
-        want, gi_want = backward(net, caches, seed_grad, need_input_grad=True)
+        want, _ = list_backward(net, caches, seed_grad)
         expected = [p - 0.5 * g for p, g in zip(net.parameters(), want)]
 
         def update(i, grad_weight, grad_bias):
             net.layers[i].weight -= 0.5 * grad_weight
             net.layers[i].bias -= 0.5 * grad_bias
 
-        _, gi_got = backward(net, caches, seed_grad, need_input_grad=True, step=update)
-        np.testing.assert_array_equal(gi_got, gi_want)
+        backward(net, caches, seed_grad, step=update)
         for p, e in zip(net.parameters(), expected):
             np.testing.assert_array_equal(p, e)
 
@@ -260,12 +275,6 @@ class TestBackwardHandOff:
 
         backward(net, caches, seed_grad, step=watch)
         assert live_above == [[], [False] * 2, [False] * 4, [False] * 6]
-
-    def test_step_needs_param_grads(self, rng):
-        net, _, caches, seed_grad = self._setup(rng)
-        with pytest.raises(ValueError, match="per-layer step"):
-            backward(net, caches, seed_grad, need_input_grad=True,
-                     need_param_grads=False, step=lambda i, gw, gb: None)
 
 
 class TestOptimizers:

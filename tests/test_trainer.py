@@ -18,7 +18,7 @@ from rdec.trainer import (
     run_clustering,
 )
 
-from conftest import two_gaussians
+from conftest import step_grads, two_gaussians
 
 
 def small_encoder(seed, in_dim=2, hidden=32, latent=2):
@@ -77,6 +77,16 @@ class TestConfigValidation:
         {"epsilon": 0.0},
         {"xi": 0.0},
         {"ip": 0},
+        {"gamma": float("nan")},
+        {"gamma": float("inf")},
+        {"s": float("nan")},
+        {"s": float("inf")},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+        {"xi": float("nan")},
+        {"xi": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -211,9 +221,9 @@ class TestPretrain:
                 z, enc_caches = forward(ref_encoder, x)
                 recon, dec_caches = forward(ref_decoder, z)
                 _, grad = mse_loss(recon, x)
-                dec_grads, grad_z = backward(ref_decoder, dec_caches, grad,
-                                             need_input_grad=True)
-                enc_grads, _ = backward(ref_encoder, enc_caches, grad_z)
+                grad_z = backward(ref_decoder, dec_caches, grad)
+                dec_grads = step_grads(ref_decoder, dec_caches, grad)
+                enc_grads = step_grads(ref_encoder, enc_caches, grad_z)
                 optimizer.step(params, enc_grads + dec_grads)
         for got, want in zip(encoder.parameters() + decoder.parameters(), params):
             np.testing.assert_array_equal(got, want)
@@ -471,10 +481,8 @@ class TestOneDistancePassPerKl:
     def test_input_gradient_probe_computes_no_loss(self, rng):
         model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
         x = rng.standard_normal((6, 3))
-        loss, q, grad_x, grads = model._kl_forward_backward(
-            x, model.predict(x[::-1]), True, False
-        )
-        assert loss is None and grads is None
+        loss, q, grad_x = model._kl_forward_backward(x, model.predict(x[::-1]), False)
+        assert loss is None
         assert q.shape == (6, 3) and grad_x.shape == x.shape
 
     def test_dec_step_bypasses_the_vat_entry_points(self, monkeypatch):
@@ -492,9 +500,12 @@ class TestOneDistancePassPerKl:
         model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
         x = rng.standard_normal((6, 3))
         q_ref = model.predict(rng.standard_normal((6, 3)))
-        loss, q, grad_x, grads = model._kl_forward_backward(x, q_ref, True, True)
+        loss, q, grads = model._kl_forward_backward(x, q_ref, True)
         np.testing.assert_array_equal(q, model.predict(x))
         assert loss == kl_divergence(q_ref, q) / len(x)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        _, probe_q, grad_x = model._kl_forward_backward(x, q_ref, False)
+        np.testing.assert_array_equal(probe_q, q)
         np.testing.assert_array_equal(grad_x, model.kl_input_grad(x, q_ref))
         view_loss, view_grads = model.kl_param_grads(x, q_ref)
         assert view_loss == loss

@@ -50,6 +50,9 @@ class TestPerturbationNorm:
         with pytest.raises(ValueError, match="epsilon must be positive, got -1.0"):
             adversarial_perturbation(model, x, model.predict(x), -1.0, 10.0, 1,
                                      np.random.default_rng(0))
+        with pytest.raises(ValueError, match="xi must be finite, got nan"):
+            adversarial_perturbation(model, x, model.predict(x), 1.0, float("nan"), 1,
+                                     np.random.default_rng(0))
 
 
 class TestConstantModel:
