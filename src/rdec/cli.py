@@ -2,6 +2,9 @@
 
 Configs are flat ``key = value`` text files (``#`` starts a comment);
 unknown keys are rejected. Shipped baseline configs live in ``configs/``.
+``pretrain``, ``train`` and ``subsample`` take a repeatable ``--set
+KEY=VALUE``: the values are parsed as further config lines (source
+``--set``, line N for the N-th value) and replace the file's values.
 Every run directory is self-describing: it holds the command, content
 hashes of all input files and of every file it holds, and, for commands
 that read a config, a copy of it, the resolved settings and the seed. It
@@ -140,12 +143,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Set ``train``: TrainConfig defaults, overridden by the training keys
-        present, then validated; ``k`` and ``latent_dim`` are checked too."""
+        present, checked as TrainConfig is built; ``k`` and ``latent_dim`` too."""
         fields = {SCHEMA[key][1]: value for key, value in self.settings.items()
                   if SCHEMA[key][1] is not None}
-        cfg = TrainConfig(**fields)
         try:
-            cfg.validate()
+            cfg = TrainConfig(**fields)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # dec and rdec fine-tune toward at least two clusters.
@@ -158,15 +160,14 @@ class ExperimentConfig:
         self.train = cfg
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path, assignments=()) -> ExperimentConfig:
+    """The config file's settings, updated by ``KEY=VALUE`` assignments."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
     settings = parse_config_text(text, source=str(path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            settings[key] = value
+    settings.update(parse_config_text("\n".join(assignments), source="--set"))
     return ExperimentConfig(settings=settings, config_text=text, config_path=str(path))
 
 
@@ -339,7 +340,7 @@ def _progress_printer(stream=sys.stderr):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, args.set)
     source = _data_source(cfg)
     input_paths = _existing_paths(cfg, source, need_model=False)
     ds = load_dataset(cfg, source)
@@ -399,7 +400,7 @@ def _curve_rows(report):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, args.set)
     method = cfg.train.method
     needs_model = method in ENCODER_METHODS
     source = _data_source(cfg)
@@ -456,7 +457,7 @@ def cmd_train(args) -> int:
 
 
 def _read_label_file(path) -> np.ndarray:
-    """One integer per non-blank line, after an optional non-numeric header."""
+    """One int64 integer per non-blank line, after an optional non-numeric header."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -469,8 +470,9 @@ def _read_label_file(path) -> np.ndarray:
                 if lineno == 1:  # header row
                     continue
                 value = None
-            if value is None or not value.is_integer():  # NaN and infinities too
-                raise ValueError(f"{path}:{lineno}: non-integer value {text!r}")
+            # is_integer is False for NaN and the infinities
+            if value is None or not (value.is_integer() and -2**63 <= value < 2**63):
+                raise ConfigError(f"{path}:{lineno}: {text!r} is not an int64 integer")
             values.append(int(value))
     return np.array(values, dtype=np.int64)
 
@@ -499,7 +501,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, args.set)
     if cfg.get("subsample.mode") is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
     source = _data_source(cfg)
@@ -525,14 +527,6 @@ def cmd_subsample(args) -> int:
     return 0
 
 
-# Config keys that command-line flags of the train command override.
-OVERRIDE_KEYS = ("seed", "method", "gamma", "epsilon", "s", "tau", "max_iter")
-
-
-def _overrides(args) -> dict:
-    return {key: getattr(args, key, None) for key in OVERRIDE_KEYS}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdec",
@@ -540,20 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, overrides=("seed",)):
+    def add_config_command(name, help, func):
+        # exact flag names: a removed flag such as --s must not read as --set
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None, help="override output directory")
-        for key in overrides:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=SCHEMA[key][0],
-                           default=None, help=f"override config {key}")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key, written as a config line; repeatable")
+        p.set_defaults(func=func)
 
-    p_pre = sub.add_parser("pretrain", help="train the autoencoder, write a model file")
-    add_common(p_pre)
-    p_pre.set_defaults(func=cmd_pretrain)
-
-    p_train = sub.add_parser("train", help="run a clustering method, write a run directory")
-    add_common(p_train, OVERRIDE_KEYS)
-    p_train.set_defaults(func=cmd_train)
+    add_config_command("pretrain", "train the autoencoder, write a model file", cmd_pretrain)
+    add_config_command("train", "run a clustering method, write a run directory", cmd_train)
 
     p_eval = sub.add_parser("eval", help="score an assignments file against labels")
     p_eval.add_argument("assignments", help="file with one cluster id per line")
@@ -561,9 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="directory for metrics.csv")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sub = sub.add_parser("subsample", help="write an imbalanced dataset variant")
-    add_common(p_sub)
-    p_sub.set_defaults(func=cmd_subsample)
+    add_config_command("subsample", "write an imbalanced dataset variant", cmd_subsample)
 
     return parser
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -82,52 +83,38 @@ def _read_be32(fh, path, what: str) -> int:
     return struct.unpack(">i", data)[0]
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by the dimensions in its header;
+    the low byte of the magic number is the number of dimensions."""
     with _open_maybe_gzip(path) as fh:
-        magic = _read_be32(fh, path, "magic")
-        if magic != IMAGES_MAGIC:
+        found = _read_be32(fh, path, "magic")
+        if found != magic:
             raise IdxFormatError(
-                f"{path}: bad image magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{IMAGES_MAGIC:08x}"
+                f"{path}: bad {what} magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
             )
-        count = _read_be32(fh, path, "image count")
-        rows = _read_be32(fh, path, "row count")
-        cols = _read_be32(fh, path, "column count")
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise IdxFormatError(
-            f"{path}: truncated pixel data, wanted {count * rows * cols} bytes, "
-            f"got {len(raw)}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0
-
-
-def _read_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
-        magic = _read_be32(fh, path, "magic")
-        if magic != LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad label magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{LABELS_MAGIC:08x}"
-            )
-        count = _read_be32(fh, path, "label count")
-        raw = fh.read(count)
-    if len(raw) != count:
-        raise IdxFormatError(f"{path}: truncated labels, wanted {count}, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        shape = [_read_be32(fh, path, f"{what} dimension {i}") for i in range(magic & 0xFF)]
+        if min(shape) < 0:
+            raise IdxFormatError(f"{path}: negative {what} dimension in header {shape}")
+        size = math.prod(shape)
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise IdxFormatError(f"{path}: truncated {what} data, wanted {size} bytes, "
+                             f"got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     """Load an IDX image/label pair as flattened rows scaled to [0, 1]."""
-    features = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
-    if features.shape[0] != labels.shape[0]:
+    pixels = _read_idx(images_path, IMAGES_MAGIC, "image")
+    labels = _read_idx(labels_path, LABELS_MAGIC, "label").astype(np.int64)
+    if pixels.shape[0] != labels.shape[0]:
         raise IdxFormatError(
-            f"count mismatch: {features.shape[0]} images ({images_path}) vs "
+            f"count mismatch: {pixels.shape[0]} images ({images_path}) vs "
             f"{labels.shape[0]} labels ({labels_path})"
         )
-    return Dataset(features=features, labels=labels, name=name)
+    # the row width is spelled out: reshape cannot infer a -1 for zero rows
+    rows = pixels.reshape(pixels.shape[0], math.prod(pixels.shape[1:]))
+    return Dataset(features=rows.astype(np.float64) / 255.0, labels=labels, name=name)
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
@@ -138,6 +125,10 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """
     if ds.labels is None:
         raise ValueError("save_idx needs labels")
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels > 255))
+    if bad.size:
+        raise ValueError(f"label {ds.labels[bad[0]]} at row {bad[0]} is outside "
+                         f"0..255, the range of an IDX label byte")
     side = int(round(ds.dim**0.5))
     if side * side != ds.dim:
         raise ValueError(f"feature dim {ds.dim} is not a square image size")
@@ -158,7 +149,7 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     """Load a rectangular numeric CSV with a header row.
 
     When label_column is given, that column becomes the integer labels (each
-    a finite integral value) and the remaining columns the features.
+    an integral value in int64 range) and the remaining columns the features.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
@@ -197,10 +188,12 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     if label_idx is None:
         return Dataset(features=values, labels=None, name=name)
     labels = values[:, label_idx]
-    bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+    # NaN fails the first test, infinities the range test
+    bad = np.flatnonzero(~((labels == np.trunc(labels)) & (labels >= -2.0**63)
+                           & (labels < 2.0**63)))
     if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: non-integer label "
-                         f"{rows[bad[0]][label_idx]!r} in column {label_column!r}")
+        raise ValueError(f"{path}:{bad[0] + 2}: label {rows[bad[0]][label_idx]!r} "
+                         f"in column {label_column!r} is not an int64 integer")
     features = np.delete(values, label_idx, axis=1)
     return Dataset(features=features, labels=labels.astype(np.int64), name=name)
 

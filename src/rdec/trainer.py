@@ -42,8 +42,11 @@ _STREAM_KMEANS = 4
 ProgressFn = Callable[[dict], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built: a bad value raises ValueError,
+    and ``dataclasses.replace`` checks the new settings again."""
+
     method: str = "rdec"
     gamma: float = 5.0
     s: float = 2.0
@@ -64,7 +67,7 @@ class TrainConfig:
     kmeans_restarts: int = 20
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         for name, value in (("gamma", self.gamma), ("s", self.s), ("alpha", self.alpha)):
@@ -264,7 +267,6 @@ def pretrain(
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
-    cfg.validate()
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
     # One stack over the encoder's and decoder's own layer arrays.
     autoencoder = Network(encoder.layers + decoder.layers)
@@ -299,7 +301,6 @@ def finetune(
     target refresh. A non-finite batch loss raises FloatingPointError
     naming the iteration and the term. The encoder is mutated in place.
     """
-    cfg.validate()
     if k < 2:
         raise ValueError(f"need k >= 2 clusters, got {k}")
     n = data.shape[0]
@@ -391,13 +392,11 @@ def run_clustering(
     progress: ProgressFn | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """Uniform entry point for all methods, baselines included."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    cfg = replace(cfg, method=method)
     if method in ENCODER_METHODS and encoder is None:
         raise ValueError(f"method {method} needs a pretrained encoder")
     if method in ("dec", "rdec"):
-        return finetune(encoder, data, k, replace(cfg, method=method),
-                        labels=labels, progress=progress)
+        return finetune(encoder, data, k, cfg, labels=labels, progress=progress)
 
     t0 = time.perf_counter()
     points = encode(encoder, data) if method == "ae_kmeans" else data

@@ -11,6 +11,7 @@ import copy
 import os
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,16 +267,13 @@ def test_c7_synthetic_end_to_end():
 
     base_cfg = TrainConfig(method="dec", gamma=0.0, tau=20, sigma=0.01,
                            max_iter=2000, batch_size=256, pretrain_epochs=15,
-                           kmeans_restarts=10, seed=5)
-    base_cfg.pretrain_lr = 0.5
+                           pretrain_lr=0.5, kmeans_restarts=10, seed=5)
     encoder, decoder = build_network(2, 2, seed=5)
     pretrain(encoder, decoder, data, base_cfg)
 
     for method, gamma in (("dec", 0.0), ("rdec", 5.0)):
         enc = copy.deepcopy(encoder)
-        cfg = copy.deepcopy(base_cfg)
-        cfg.method = method
-        cfg.gamma = gamma
+        cfg = replace(base_cfg, method=method, gamma=gamma)
         assignments, report = finetune(enc, data, 2, cfg, labels=labels)
         acc, _ = accuracy(labels, assignments)
         assert acc == 1.0, f"{method} reached only {acc}"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -108,7 +109,7 @@ class TestTrainCommand:
     def test_kmeans_needs_no_model(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture, extra="\n", model="absent.bin")
         out = tmp_path / "km"
-        code = main(["train", "--config", str(cfg), "--method", "kmeans",
+        code = main(["train", "--config", str(cfg), "--set", "method=kmeans",
                      "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
@@ -141,7 +142,7 @@ class TestTrainCommand:
         # ae_kmeans leaves the loaded encoder unchanged, so the dump must equal its encode
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
         out = tmp_path / "ae"
-        assert main(["train", "--config", str(cfg), "--method", "ae_kmeans",
+        assert main(["train", "--config", str(cfg), "--set", "method=ae_kmeans",
                      "--out", str(out)]) == 0
         rows = (out / "embeddings.csv").read_text().splitlines()[1:]
         z = np.array([[float(cell) for cell in row.split(",")[:2]] for row in rows])
@@ -156,7 +157,7 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, ("," if "data.images" in keys else img,
                                       "," if "data.labels" in keys else lab))
         out = tmp_path / "r"
-        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
                      "--out", str(out)]) == 2
         assert keys[0] in capsys.readouterr().err
         assert not out.exists()
@@ -164,20 +165,24 @@ class TestTrainCommand:
     def test_method_and_gamma_overrides(self, tmp_path, idx_fixture, pretrained):
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
         out = tmp_path / "dec"
-        code = main(["train", "--config", str(cfg), "--method", "dec",
-                     "--gamma", "0", "--max-iter", "20", "--out", str(out)])
+        code = main(["train", "--config", str(cfg), "--set", "method=dec",
+                     "--set", "gamma=0", "--set", "max_iter=20", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "dec"
         assert all(rec["vat_loss"] == 0.0 for rec in report["iterations"])
+        assert len(report["iterations"]) <= 20
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["settings"]["gamma"], manifest["settings"]["max_iter"]) == (0.0, 20)
+        assert (out / "config.txt").read_text() == cfg.read_text()
 
     def test_never_overwrites_run_dir(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)
         out = tmp_path / "same"
-        main(["train", "--config", str(cfg), "--method", "kmeans", "--out", str(out)])
-        main(["train", "--config", str(cfg), "--method", "kmeans", "--out", str(out)])
+        main(["train", "--config", str(cfg), "--set", "method=kmeans", "--out", str(out)])
+        main(["train", "--config", str(cfg), "--set", "method=kmeans", "--out", str(out)])
         # a trailing slash must not put the suffixed run inside the existing one
-        main(["train", "--config", str(cfg), "--method", "kmeans", "--out", f"{out}/"])
+        main(["train", "--config", str(cfg), "--set", "method=kmeans", "--out", f"{out}/"])
         siblings = [p for p in tmp_path.iterdir() if p.name.startswith("same")]
         assert len(siblings) == 3
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
@@ -236,7 +241,7 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "load_idx", no_load)
         cfg = write_config(tmp_path, idx_fixture)
         cfg.write_text(cfg.read_text().replace("kmeans.restarts = 5", "kmeans.restarts = 0"))
-        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
                      "--out", str(tmp_path / "r")]) == 2
         assert "kmeans_restarts" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
@@ -357,7 +362,7 @@ class TestTrainConfigMapping:
 
     def test_bad_vat_value_is_a_config_error(self, tmp_path, idx_fixture, capsys,
                                              monkeypatch):
-        # Each exits 2 with TrainConfig.validate's message before the data loads.
+        # Each exits 2 with the message TrainConfig raises before the data loads.
         def no_load(*args, **kwargs):
             raise AssertionError("data loaded")
 
@@ -373,6 +378,97 @@ class TestTrainConfigMapping:
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "r").exists()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestSetOption:
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    @pytest.mark.parametrize("assignments, message", [
+        (["seed=9", "bogus=1"], "--set:2: unknown key 'bogus'"),
+        (["gamma=high"], "--set:1: bad value for gamma: "
+                         "could not convert string to float: 'high'"),
+        (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
+        (["gamma"], "--set:1: expected 'key = value', got 'gamma'"),
+        (["gamma=-1"], "gamma must be >= 0, got -1.0"),
+    ], ids=["unknown-key", "bad-value", "duplicate", "no-equals", "invalid"])
+    def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
+                                                 monkeypatch, command, assignments,
+                                                 message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_idx", no_load)
+        cfg = write_config(tmp_path, idx_fixture,
+                           extra="subsample.mode = explicit_counts\nsubsample.counts = 10,25\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_set_beats_the_file_value(self, tmp_path, idx_fixture):
+        # the file says seed = 3; '#' starts a comment as in a config file
+        cfg = write_config(tmp_path, idx_fixture)
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--set", "seed = 5  # as a config line"]) == 0
+        five = tmp_path / "five.cfg"
+        five.write_text(cfg.read_text().replace("seed = 3", "seed = 5"))
+        assert main(["pretrain", "--config", str(five), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "model.bin").read_bytes()
+                == (tmp_path / "b" / "model.bin").read_bytes())
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["settings"]["seed"]) == (5, 5)
+        assert (tmp_path / "a" / "config.txt").read_text() == cfg.read_text()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--gamma"), ("train", "--max-iter"), ("train", "--seed"), ("train", "--s"),
+        ("pretrain", "--seed"), ("subsample", "--seed"),
+    ])
+    def test_a_removed_flag_exits_2(self, tmp_path, idx_fixture, capsys, command, flag):
+        cfg = write_config(tmp_path, idx_fixture)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg), flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    def test_help_lists_config_out_and_set(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--out", "--set"}
+
+    def test_a_shipped_config_runs_on_other_files(self, tmp_path, idx_fixture):
+        # The fixture's classes become 0 and 6, the classes the 0/6 configs keep.
+        ds = load_idx(*idx_fixture)
+        images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+        save_idx(Dataset(ds.features, np.where(ds.labels == 1, 6, 0)), images, labels)
+        files = ["--set", f"data.images={images}", "--set", f"data.labels={labels}"]
+        assert main(["pretrain", "--config", str(SHIPPED / "mnist06_imb_pretrain.cfg"),
+                     "--out", str(tmp_path / "pre"), *files,
+                     "--set", "pretrain.epochs=2", "--set", "pretrain.lr=0.1"]) == 0
+        model = tmp_path / "pre" / "model.bin"
+        config = SHIPPED / "mnist06_imb_rdec.cfg"
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                     *files, "--set", f"model={model}", "--set", "max_iter=5"]) == 0
+        run = tmp_path / "run"
+        report = json.loads((run / "report.json").read_text())
+        assert report["method"] == "rdec"
+        # single_class keeps round(0.1 * 60) = 6 rows of class 0 and all 60 of class 6
+        assert report["n"] == 66
+        assert set(report["final_metrics"]["per_class"]) == {"0", "6"}
+        assert len(report["iterations"]) == 5
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["config_file"] == str(config)
+        assert (run / "config.txt").read_text() == config.read_text()
+        expected = {**load_config(config).settings, "data.images": [str(images)],
+                    "data.labels": [str(labels)], "model": str(model), "max_iter": 5}
+        assert manifest["settings"] == {key: expected[key] for key in sorted(expected)}
+        assert sorted(manifest["input_sha256"]) == sorted(map(str, (images, labels, model)))
 
 
 class TestEvalCommand:
@@ -445,17 +541,17 @@ class TestEvalCommand:
         ("0\n1.5\n2.7\n", 2, "1.5"),  # fractions were truncated to 0, 1, 2
         ("nan\n0\n1\n", 1, "nan"),  # a first-line NaN was skipped as a header
         ("0\ninf\n1\n", 2, "inf"),  # an infinity was a bare OverflowError
-    ], ids=["fraction", "first-line-nan", "infinity"])
+        ("0\n1e20\n1\n", 2, "1e20"),  # beyond int64: an OverflowError, exit 1
+    ], ids=["fraction", "first-line-nan", "infinity", "beyond-int64"])
     def test_non_integer_value_is_rejected_by_file_and_line(self, tmp_path, capsys,
                                                            text, lineno, value):
         assign, labels = tmp_path / "a.csv", tmp_path / "l.csv"
         assign.write_text(text)
         labels.write_text("0\n1\n2\n")
-        assert main(["eval", str(assign), str(labels)]) == 1
+        assert main(["eval", str(assign), str(labels)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: ValueError: {assign}:{lineno}: "
-                                f"non-integer value {value!r}\n")
+        assert captured.err == f"error: {assign}:{lineno}: {value!r} is not an int64 integer\n"
 
 
 class TestSubsampleCommand:
@@ -543,7 +639,7 @@ class TestRunDirectory:
         monkeypatch.setattr("rdec.cli._write_manifest", broken_manifest)
         cfg = write_config(tmp_path, idx_fixture)
         out = tmp_path / "km"
-        assert main(["train", "--config", str(cfg), "--method", "kmeans",
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
                      "--out", str(out)]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 

@@ -79,6 +79,29 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which, keep, message", [
+        ("labels", 9, "truncated label data, wanted 2 bytes, got 1"),
+        ("images", 10, "truncated while reading image dimension 1"),
+    ])
+    def test_truncated_labels_or_header(self, tmp_path, which, keep, message):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        path = img if which == "images" else lab
+        path.write_bytes(path.read_bytes()[:keep])  # the headers are 16 and 8 bytes
+        with pytest.raises(IdxFormatError, match=message):
+            load_idx(img, lab)
+
+    def test_negative_dimension_is_a_format_error(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        img.write_bytes(struct.pack(">iiii", IMAGES_MAGIC, -1, -1, 4) + bytes(4))
+        with pytest.raises(IdxFormatError, match=r"negative image dimension .* \[-1, -1, 4\]"):
+            load_idx(img, lab)
+
+    def test_zero_count_files_load(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 3), dtype=np.uint8), [])
+        ds = load_idx(img, lab)
+        assert ds.features.shape == (0, 6) and ds.features.dtype == np.float64
+        assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 0])
         _, lab = write_idx_pair(
@@ -114,6 +137,13 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="feature dim 10 is not a square image size"):
             save_idx(ds, tmp_path / "img", tmp_path / "lab")
         assert not (tmp_path / "img").exists()
+
+    def test_save_rejects_labels_outside_a_byte(self, rng, tmp_path):
+        # uint8 would wrap them: [300, -1] read back as [44, 255]
+        ds = Dataset(rng.random((3, 4)), np.array([1, 300, -1]))
+        with pytest.raises(ValueError, match="label 300 at row 1 is outside 0..255"):
+            save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_holds_one_float_copy_of_the_features(self, rng, tmp_path):
         ds = Dataset(rng.random((3050, 784)), np.arange(3050) % 10)
@@ -162,13 +192,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="oops"):
             load_csv(path)
 
-    @pytest.mark.parametrize("label", ["1.5", "nan", "inf"])
+    # 1e20 is integral but beyond int64; it was cast to -2**63 with a warning
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e20"])
     def test_non_integer_label_named_by_line_and_column(self, tmp_path, label):
         path = tmp_path / "data.csv"
         path.write_text(f"a,label\n1.0,2\n3.0,{label}\n")
         with pytest.raises(ValueError) as info:
             load_csv(path, label_column="label")
-        assert str(info.value) == f"{path}:3: non-integer label '{label}' in column 'label'"
+        assert str(info.value) == (f"{path}:3: label '{label}' in column 'label' "
+                                   "is not an int64 integer")
 
     def test_round_trip_with_writer(self, tmp_path, rng):
         ds = Dataset(

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -90,7 +90,7 @@ class TestConfigValidation:
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
-            fast_config(**kwargs).validate()
+            fast_config(**kwargs)
 
     @pytest.mark.parametrize("name, value", [
         ("pretrain_lr", 0.0),
@@ -104,10 +104,23 @@ class TestConfigValidation:
     ])
     def test_rejects_a_bad_step_setting_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
-            fast_config(**{name: value}).validate()
+            fast_config(**{name: value})
 
     def test_accepts_zero_momentum(self):
-        fast_config(pretrain_momentum=0.0, finetune_momentum=0.0).validate()
+        fast_config(pretrain_momentum=0.0, finetune_momentum=0.0)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = fast_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.gamma = -1.0
+        assert cfg.gamma == 0.0
+
+    def test_replace_checks_the_new_settings(self):
+        assert replace(fast_config(), gamma=2.0).gamma == 2.0
+        with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+            replace(fast_config(), gamma=-1.0)
+        with pytest.raises(ValueError, match="ip must be >= 1, got 0"):
+            replace(fast_config(), ip=0)
 
 
 class TestPretrain:
@@ -130,8 +143,7 @@ class TestPretrain:
         decoder = small_decoder(3)
         cfg = fast_config(pretrain_epochs=0)
         initial = pretrain(encoder, decoder, data, cfg)
-        cfg = fast_config(pretrain_epochs=80)
-        cfg.pretrain_lr = 0.05
+        cfg = fast_config(pretrain_epochs=80, pretrain_lr=0.05)
         final = pretrain(encoder, decoder, data, cfg)
         assert final < 0.5 * initial
 
@@ -142,8 +154,7 @@ class TestPretrain:
         for _ in range(2):
             encoder = small_encoder(7)
             decoder = small_decoder(7)
-            cfg = fast_config(pretrain_epochs=5, seed=11)
-            cfg.pretrain_lr = 0.05
+            cfg = fast_config(pretrain_epochs=5, seed=11, pretrain_lr=0.05)
             pretrain(encoder, decoder, data, cfg)
             results.append([p.copy() for p in encoder.parameters()])
         for a, b in zip(*results):
@@ -189,9 +200,9 @@ class TestPretrain:
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
         data = (data - data.min()) / (data.max() - data.min())
-        cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5)
-        cfg.pretrain_lr = 0.05
-        cfg.pretrain_momentum = 0.5  # a path that ignores it fails below
+        # a path that ignores pretrain_momentum fails below
+        cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5, pretrain_lr=0.05,
+                          pretrain_momentum=0.5)
         calls = {"forward": 0, "backward": 0}
 
         def counted(name):
@@ -413,8 +424,7 @@ class TestFinetune:
         before = data.copy()
         encoder, decoder = small_encoder(2), small_decoder(2)
         cfg = fast_config(method=method, gamma=gamma, pretrain_epochs=2, max_iter=5,
-                          batch_size=32)
-        cfg.pretrain_lr = 0.05
+                          batch_size=32, pretrain_lr=0.05)
         assert np.isfinite(pretrain(encoder, decoder, data, cfg))
         assignments, _ = finetune(encoder, data, 2, cfg)
         assert len(assignments) == len(data)
