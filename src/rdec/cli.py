@@ -13,7 +13,8 @@ beside it, ``manifest.json`` last, and one rename publishes it. Existing
 run directories, ``eval --out``'s included, are never overwritten; a
 timestamp suffix is appended instead.
 
-Exit codes: 0 success, 1 runtime failure, 2 config/validation failure.
+Exit codes: 0 success, 1 runtime failure, 2 config/validation failure or a
+malformed input data file.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
 deterministic for a fixed thread count). The ``rdec`` package applies it on
 its first import, before numpy loads, for this CLI and library scripts alike.
@@ -39,14 +40,16 @@ import numpy as np
 
 from . import metrics
 from .data import (
+    DataFormatError,
     Dataset,
     SubsampleSpec,
     concat,
     filter_classes,
     load_csv,
-    load_idx,
+    read_idx,
     save_csv,
     save_idx,
+    scale_pixels,
     subsample,
 )
 from .network import build_network, encode, load_model, save_model
@@ -172,10 +175,16 @@ def load_config(path, assignments=()) -> ExperimentConfig:
 
 
 class DataSource(NamedTuple):
-    """Input files, their loader, and the writer of a variant in the same format."""
+    """Input files, their loader, and the writer of a variant in the same format.
+
+    ``load`` may return rows in their stored form, IDX pixels as bytes, so
+    that rows are selected by label before ``scale`` makes the one float64
+    copy of the rows kept.
+    """
 
     files: list[Path]
     load: Callable[[], Dataset]
+    scale: Callable[[Dataset], Dataset]
     outputs: dict[str, str]  # manifest key -> run-directory file name
     save: Callable[..., None]  # save(dataset, *paths), one path per output
 
@@ -193,8 +202,9 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
             )
         return DataSource(
             files=[Path(p) for p in images + labels],
-            load=lambda: reduce(concat, (load_idx(img, lab, name=name)
+            load=lambda: reduce(concat, (read_idx(img, lab, name=name)
                                          for img, lab in zip(images, labels))),
+            scale=scale_pixels,
             outputs={"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"},
             save=save_idx,
         )
@@ -204,6 +214,7 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
         return DataSource(
             files=[Path(path)],
             load=lambda: load_csv(path, label_column, name=name),
+            scale=lambda ds: ds,
             outputs={"csv": "data.csv"},
             save=partial(save_csv, label_column=label_column),
         )
@@ -223,7 +234,8 @@ def _existing_paths(cfg: ExperimentConfig, source: DataSource, *,
 
 
 def _load_filtered(cfg: ExperimentConfig, source: DataSource) -> Dataset:
-    """Load the dataset files and keep the configured classes, if any."""
+    """Load the dataset files and keep the configured classes, if any; the
+    rows are not yet scaled."""
     ds = source.load()
     classes = cfg.get("data.classes")
     if classes:
@@ -242,11 +254,12 @@ def _subsample_spec(cfg: ExperimentConfig) -> SubsampleSpec:
 
 
 def load_dataset(cfg: ExperimentConfig, source: DataSource) -> Dataset:
-    """Load, optionally class-filter, and optionally subsample the dataset."""
+    """Load, optionally class-filter, and optionally subsample the dataset,
+    then scale the rows kept."""
     ds = _load_filtered(cfg, source)
     if cfg.get("subsample.mode"):
         ds = subsample(ds, _subsample_spec(cfg))
-    return ds
+    return source.scale(ds)
 
 
 def _sha256(path: Path) -> str:
@@ -509,7 +522,7 @@ def cmd_subsample(args) -> int:
 
     full = _load_filtered(cfg, source)
     spec = _subsample_spec(cfg)
-    reduced = subsample(full, spec)
+    reduced = source.scale(subsample(full, spec))
 
     with _publish(args, cfg, "runs/subsample") as (stage, out):
         source.save(reduced, *(stage / name for name in source.outputs.values()))
@@ -561,7 +574,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

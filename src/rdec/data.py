@@ -4,7 +4,9 @@ IDX reads are big-endian and magic-checked. Readers gunzip transparently
 when the file starts with the gzip signature; ``save_csv`` gzips when the
 name ends in ``.gz``. Pixels are scaled to [0, 1] by dividing by 255; that
 normalization is the contract the reconstruction loss and the shipped
-defaults assume.
+defaults assume. ``read_idx`` leaves them as bytes, so rows can be selected
+by label before the one float64 copy of the kept rows is made. A malformed
+input file raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,20 @@ LABELS_MAGIC = 0x00000801
 SUBSAMPLE_MODES = ("single_class", "explicit_counts", "interpolated")
 
 
-class IdxFormatError(ValueError):
+class DataFormatError(ValueError):
+    """Malformed input data file."""
+
+
+class IdxFormatError(DataFormatError):
     """Malformed IDX file."""
 
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, d) float64
+    """Rows of features with optional labels. ``features`` is float64, or
+    the uint8 pixels of ``read_idx`` before ``scale_pixels``."""
+
+    features: np.ndarray  # (n, d) float64, or uint8 pixels
     labels: np.ndarray | None  # (n,) int64 or None
     name: str = "dataset"
 
@@ -103,8 +112,9 @@ def _read_idx(path, magic: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
-def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
-    """Load an IDX image/label pair as flattened rows scaled to [0, 1]."""
+def read_idx(images_path, labels_path, name: str = "idx") -> Dataset:
+    """Read an IDX image/label pair as flattened uint8 rows, unscaled, with
+    int64 labels."""
     pixels = _read_idx(images_path, IMAGES_MAGIC, "image")
     labels = _read_idx(labels_path, LABELS_MAGIC, "label").astype(np.int64)
     if pixels.shape[0] != labels.shape[0]:
@@ -114,17 +124,46 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         )
     # the row width is spelled out: reshape cannot infer a -1 for zero rows
     rows = pixels.reshape(pixels.shape[0], math.prod(pixels.shape[1:]))
-    return Dataset(features=rows.astype(np.float64) / 255.0, labels=labels, name=name)
+    return Dataset(features=rows, labels=labels, name=name)
+
+
+def scale_pixels(ds: Dataset) -> Dataset:
+    """The dataset with its uint8 pixels scaled to [0, 1] as float64."""
+    return Dataset(features=ds.features / 255.0, labels=ds.labels, name=ds.name)
+
+
+def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
+    """Load an IDX image/label pair as flattened rows scaled to [0, 1]."""
+    return scale_pixels(read_idx(images_path, labels_path, name))
+
+
+# Rows per float64 temporary in save_idx: 1024 rows of 784 pixels are 6.4 MB,
+# whatever the number of rows saved.
+SAVE_CHUNK = 1024
+
+
+def _to_bytes(features: np.ndarray) -> bytes:
+    """Row-major pixel bytes: scaled by 255, rounded half to even, clipped to
+    0..255. The float64 temporary is rounded and clipped in place and freed
+    on return."""
+    pixels = features * 255.0
+    np.round(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    return pixels.astype(np.uint8).tobytes()
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Write a dataset back to an IDX pair, rescaling features to bytes.
 
     Exact round-trip for IDX-loaded data (values k/255). Each row must
-    form a square image.
+    form a square image. Features must be floats in [0, 1] scale; values
+    outside it are clipped.
     """
     if ds.labels is None:
         raise ValueError("save_idx needs labels")
+    if not np.issubdtype(ds.features.dtype, np.floating):
+        raise ValueError(f"save_idx needs features scaled to [0, 1], got "
+                         f"{ds.features.dtype} values; scale_pixels scales read_idx rows")
     bad = np.flatnonzero((ds.labels < 0) | (ds.labels > 255))
     if bad.size:
         raise ValueError(f"label {ds.labels[bad[0]]} at row {bad[0]} is outside "
@@ -132,14 +171,10 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
     side = int(round(ds.dim**0.5))
     if side * side != ds.dim:
         raise ValueError(f"feature dim {ds.dim} is not a square image size")
-    # one float64 temporary, rounded and clipped in place; rebinding frees it
-    pixels = ds.features * 255.0
-    np.round(pixels, out=pixels)
-    np.clip(pixels, 0, 255, out=pixels)
-    pixels = pixels.astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, side, side))
-        fh.write(pixels.tobytes())
+        for start in range(0, ds.n, SAVE_CHUNK):
+            fh.write(_to_bytes(ds.features[start : start + SAVE_CHUNK]))
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">ii", LABELS_MAGIC, ds.n))
         fh.write(ds.labels.astype(np.uint8).tobytes())
@@ -150,28 +185,29 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
 
     When label_column is given, that column becomes the integer labels (each
     an integral value in int64 range) and the remaining columns the features.
+    A malformed file raises DataFormatError.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+            raise DataFormatError(f"{path}: empty file") from None
         label_idx = None
         if label_column is not None:
             if label_column not in header:
-                raise ValueError(f"{path}: no column named {label_column!r} in header")
+                raise DataFormatError(f"{path}: no column named {label_column!r} in header")
             label_idx = header.index(label_column)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ValueError(
+                raise DataFormatError(
                     f"{path}:{lineno}: ragged row with {len(row)} cells, "
                     f"header has {len(header)}"
                 )
             rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise DataFormatError(f"{path}: no data rows")
     try:
         values = np.array(rows, dtype=np.float64)
     except ValueError:
@@ -180,7 +216,7 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
                 try:
                     float(cell)
                 except ValueError:
-                    raise ValueError(
+                    raise DataFormatError(
                         f"{path}:{lineno}: non-numeric cell {cell!r} in column "
                         f"{header[col]!r}"
                     ) from None
@@ -192,8 +228,8 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     bad = np.flatnonzero(~((labels == np.trunc(labels)) & (labels >= -2.0**63)
                            & (labels < 2.0**63)))
     if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: label {rows[bad[0]][label_idx]!r} "
-                         f"in column {label_column!r} is not an int64 integer")
+        raise DataFormatError(f"{path}:{bad[0] + 2}: label {rows[bad[0]][label_idx]!r} "
+                              f"in column {label_column!r} is not an int64 integer")
     features = np.delete(values, label_idx, axis=1)
     return Dataset(features=features, labels=labels.astype(np.int64), name=name)
 

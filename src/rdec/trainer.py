@@ -237,15 +237,19 @@ def _reconstruction_step(autoencoder: Network, optimizers: list[SgdMomentum],
     """One SGD-momentum step of every layer on the batch MSE, which it returns.
 
     ``optimizers[i]`` steps layer i as soon as backward has its gradients,
-    so no more than one layer's gradients are held at a time. The batch's
+    so no more than one layer's gradients are held at a time. Layer i's
+    output is then dropped from the caches: backward has used it, and with
+    no other name for it (the reconstruction included) it is freed before
+    the next layer's gradients are made. The rest of the batch's
     activations and gradients are freed on return, so none of them are
     still held while the next batch allocates its own."""
-    recon, caches = forward(autoencoder, x)
-    loss, grad = mse_loss(recon, x)
+    caches = forward(autoencoder, x)[1]
+    loss, grad = mse_loss(caches[-1], x)
     layers = autoencoder.layers
 
     def step(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
         optimizers[i].step([layers[i].weight, layers[i].bias], [grad_weight, grad_bias])
+        caches[i + 1] = None
 
     backward(autoencoder, caches, grad, step=step)
     return loss

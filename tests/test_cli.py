@@ -1,9 +1,12 @@
 import hashlib
 import json
 import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,17 @@ import pytest
 
 from rdec import cli, trainer
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
-from rdec.data import Dataset, load_idx, save_csv, save_idx
+from rdec.data import (
+    Dataset,
+    concat,
+    filter_classes,
+    load_idx,
+    read_idx,
+    save_csv,
+    save_idx,
+    subsample,
+)
+from rdec.dec import InfiniteDivergenceError
 from rdec.network import encode, load_model
 from rdec.trainer import TrainConfig
 
@@ -191,7 +204,7 @@ class TestTrainCommand:
                                          capsys, monkeypatch):
         # The model's embedding width is checked before the data loads.
         loads = []
-        monkeypatch.setattr(cli, "load_idx", lambda *args, **kwargs: loads.append(args))
+        monkeypatch.setattr(cli, "read_idx", lambda *args, **kwargs: loads.append(args))
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
                            extra="")
         text = cfg.read_text().replace("latent_dim = 2", "latent_dim = 5")
@@ -238,7 +251,7 @@ class TestTrainCommand:
         def no_load(*args, **kwargs):
             raise AssertionError("data loaded")
 
-        monkeypatch.setattr(cli, "load_idx", no_load)
+        monkeypatch.setattr(cli, "read_idx", no_load)
         cfg = write_config(tmp_path, idx_fixture)
         cfg.write_text(cfg.read_text().replace("kmeans.restarts = 5", "kmeans.restarts = 0"))
         assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
@@ -267,6 +280,54 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, idx_fixture, extra="finetune.optimizer = sgd_momentum\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "unknown key 'finetune.optimizer'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    @pytest.mark.parametrize("case", ["idx-bad-magic", "idx-truncated", "csv-ragged",
+                                      "csv-non-numeric", "csv-fraction-label"])
+    def test_malformed_data_file_exits_2(self, tmp_path, idx_fixture, capsys, command,
+                                         case):
+        img, lab = idx_fixture
+        if case.startswith("idx"):
+            bad = tmp_path / "images-idx3-ubyte"
+            if case == "idx-bad-magic":
+                bad.write_bytes(struct.pack(">i", 0x801) + img.read_bytes()[4:])
+                message = f"{bad}: bad image magic 0x00000801 at offset 0, expected 0x00000803"
+            else:
+                bad.write_bytes(img.read_bytes()[:-5])
+                message = f"{bad}: truncated image data, wanted 1920 bytes, got 1915"
+            cfg = write_config(tmp_path, (bad, lab))
+        else:
+            last_row, message = {
+                "csv-ragged": ("3.0", "ragged row with 1 cells, header has 2"),
+                "csv-non-numeric": ("oops,1", "non-numeric cell 'oops' in column 'a'"),
+                "csv-fraction-label": ("3.0,1.5", "label '1.5' in column 'label' is not "
+                                                  "an int64 integer"),
+            }[case]
+            path = tmp_path / "in.csv"
+            path.write_text(f"a,label\n1.0,0\n{last_row}\n")
+            message = f"{path}:3: {message}"
+            cfg = tmp_path / "csv.cfg"
+            cfg.write_text(f"data.format = csv\ndata.path = {path}\n"
+                           "data.label_column = label\nk = 2\n")
+        cfg.write_text(cfg.read_text() + "subsample.mode = interpolated\n")
+        assert main([command, "--config", str(cfg), "--set", "method=kmeans",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_a_diverging_run_still_exits_1(self, tmp_path, idx_fixture, capsys,
+                                           monkeypatch):
+        # InfiniteDivergenceError is a ValueError, but not a bad input
+        def diverge(*args, **kwargs):
+            raise InfiniteDivergenceError("q is zero on the support of p")
+
+        monkeypatch.setattr(cli, "run_clustering", diverge)
+        cfg = write_config(tmp_path, idx_fixture)
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "error: InfiniteDivergenceError: q is zero on the support of p\n")
         assert not (tmp_path / "r").exists()
 
 
@@ -366,7 +427,7 @@ class TestTrainConfigMapping:
         def no_load(*args, **kwargs):
             raise AssertionError("data loaded")
 
-        monkeypatch.setattr(cli, "load_idx", no_load)
+        monkeypatch.setattr(cli, "read_idx", no_load)
         for line, message in [("epsilon = 0", "epsilon must be positive, got 0.0"),
                               ("xi = -1", "xi must be positive, got -1.0"),
                               ("ip = 0", "ip must be >= 1, got 0"),
@@ -399,7 +460,7 @@ class TestSetOption:
         def no_load(*args, **kwargs):
             raise AssertionError("data loaded")
 
-        monkeypatch.setattr(cli, "load_idx", no_load)
+        monkeypatch.setattr(cli, "read_idx", no_load)
         cfg = write_config(tmp_path, idx_fixture,
                            extra="subsample.mode = explicit_counts\nsubsample.counts = 10,25\n")
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r")]
@@ -610,6 +671,98 @@ class TestSubsampleCommand:
     def test_requires_mode(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)
         assert main(["subsample", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("classes", [None, [0, 2]], ids=["all", "classes-0-2"])
+    @pytest.mark.parametrize("mode", ["single_class", "explicit_counts", "interpolated"])
+    def test_writes_the_selected_input_rows(self, tmp_path, mode, classes):
+        # Each input row's first two pixels spell its index, so every output
+        # row names the input row it must be a byte-exact copy of.
+        n = 300
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        pixels[:, 0], pixels[:, 1] = np.arange(n) // 256, np.arange(n) % 256
+        labels = rng.integers(0, 3, size=n).astype(np.uint8)
+        images, label_file = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">iiii", 0x803, n, 4, 4) + pixels.tobytes())
+        label_file.write_bytes(struct.pack(">ii", 0x801, n) + labels.tobytes())
+        settings = {
+            "single_class": "subsample.target_class = 2\nsubsample.r_min = 0.3\n",
+            "explicit_counts": "subsample.counts = 20,30\n" if classes
+                               else "subsample.counts = 20,30,40\n",
+            "interpolated": "subsample.r_min = 0.2\n",
+        }[mode]
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text(f"data.format = idx\ndata.images = {images}\n"
+                       f"data.labels = {label_file}\nsubsample.mode = {mode}\n"
+                       f"subsample.seed = 7\n{settings}"
+                       + (f"data.classes = {','.join(map(str, classes))}\n" if classes else ""))
+        out = tmp_path / "sub"
+        assert main(["subsample", "--config", str(cfg), "--out", str(out)]) == 0
+
+        written = read_idx(out / "images-idx3-ubyte", out / "labels-idx1-ubyte")
+        index = written.features[:, 0].astype(np.int64) * 256 + written.features[:, 1]
+        assert np.all(np.diff(index) > 0)  # input order
+        assert written.features.tobytes() == pixels[index].tobytes()
+        np.testing.assert_array_equal(written.labels, labels[index])
+        # the rows are those that subsample picks by label from the kept classes
+        rows = Dataset(np.arange(n, dtype=np.float64)[:, None], labels.astype(np.int64))
+        if classes:
+            rows = filter_classes(rows, classes)
+        picked = subsample(rows, cli._subsample_spec(load_config(cfg)))
+        np.testing.assert_array_equal(index, picked.features[:, 0])
+
+
+class TestDataPathMemory:
+    """The IDX path keeps rows as bytes until the kept ones are chosen, then
+    makes one float64 copy of them."""
+
+    @pytest.fixture(scope="class")
+    def two_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mem")
+        rng = np.random.default_rng(5)
+        files = []
+        for name, n in (("train", 3000), ("t10k", 1000)):
+            images, labels = root / f"{name}-images", root / f"{name}-labels"
+            images.write_bytes(struct.pack(">iiii", 0x803, n, 28, 28)
+                               + rng.integers(0, 256, size=n * 784, dtype=np.uint8).tobytes())
+            labels.write_bytes(struct.pack(">ii", 0x801, n)
+                               + rng.integers(0, 4, size=n, dtype=np.uint8).tobytes())
+            files.append((images, labels))
+        return files
+
+    @pytest.mark.parametrize("settings", [
+        "subsample.mode = single_class\nsubsample.target_class = 0\nsubsample.r_min = 0.1\n",
+        "subsample.mode = explicit_counts\nsubsample.counts = 300,200,100\n",
+        "subsample.mode = interpolated\nsubsample.r_min = 0.5\n",
+    ], ids=["single_class", "explicit_counts", "interpolated"])
+    def test_one_float_copy_of_the_kept_rows(self, tmp_path, two_files, settings):
+        (train_images, train_labels), (test_images, test_labels) = two_files
+        cfg_path = tmp_path / "mem.cfg"
+        cfg_path.write_text(f"data.format = idx\ndata.name = mem\n"
+                            f"data.images = {train_images},{test_images}\n"
+                            f"data.labels = {train_labels},{test_labels}\n"
+                            f"data.classes = 0,1,2\nsubsample.seed = 3\n{settings}")
+        cfg = load_config(cfg_path)
+        source = cli._data_source(cfg)
+        tracemalloc.start()
+        try:
+            ds = cli.load_dataset(cfg, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        # the float64-first path: every row scaled on load, then selected
+        old = reduce(concat, (load_idx(images, labels, name="mem")
+                              for images, labels in two_files))
+        old = subsample(filter_classes(old, [0, 1, 2]), cli._subsample_spec(cfg))
+        assert ds.features.dtype == np.float64 and ds.features.shape == old.features.shape
+        assert ds.features.tobytes() == old.features.tobytes()
+        np.testing.assert_array_equal(ds.labels, old.labels)
+        assert ds.labels.dtype == np.int64 and ds.name == old.name
+        # The kept rows in float64 and up to three byte copies of the files.
+        # Scaling every row on load held two float64 copies of all 4000 rows.
+        file_bytes = sum(p.stat().st_size for pair in two_files for p in pair)
+        assert peak < ds.features.nbytes + 3 * file_bytes
 
 
 class TestRunDirectory:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rdec import data
 from rdec.data import (
     Dataset,
     IdxFormatError,
@@ -13,8 +14,10 @@ from rdec.data import (
     filter_classes,
     load_csv,
     load_idx,
+    read_idx,
     save_csv,
     save_idx,
+    scale_pixels,
     subsample,
 )
 
@@ -59,6 +62,34 @@ class TestLoadIdx:
         )
         np.testing.assert_array_equal(ds.labels, labels)
         assert ds.class_counts == {2: 1, 7: 1}
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_read_keeps_the_bytes_and_load_scales_them(self, tmp_path, gz):
+        # every byte value; load_idx must equal the float64-first formula bit for bit
+        pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img, lab = write_idx_pair(tmp_path, pixels, [3, 1, 4, 1], gz=gz)
+        raw = read_idx(img, lab, name="raw")
+        assert raw.features.dtype == np.uint8 and raw.labels.dtype == np.int64
+        assert raw.features.tobytes() == pixels.tobytes() and raw.features.shape == (4, 64)
+        np.testing.assert_array_equal(raw.labels, [3, 1, 4, 1])
+        assert raw.name == "raw"
+        scaled = load_idx(img, lab)
+        expected = pixels.reshape(4, 64).astype(np.float64) / 255.0
+        assert scaled.features.dtype == np.float64
+        assert scaled.features.tobytes() == expected.tobytes()
+        assert scale_pixels(raw).features.tobytes() == expected.tobytes()
+
+    def test_load_makes_one_float_copy(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(3000, 28, 28), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, pixels, [0] * 3000)
+        tracemalloc.start()
+        try:
+            ds = load_idx(img, lab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float64 rows and the file's bytes; a second float64 copy would not fit
+        assert peak < ds.features.nbytes + 2 * pixels.nbytes
 
     def test_gzip_transparent(self, tmp_path):
         pixels = np.zeros((3, 2, 2), dtype=np.uint8)
@@ -132,6 +163,21 @@ class TestLoadIdx:
         header = struct.pack(">iiii", IMAGES_MAGIC, 40, 4, 4)
         assert (tmp_path / "img").read_bytes() == header + pixels.tobytes()
 
+    def test_save_in_chunks_writes_the_whole_array_bytes(self, rng, tmp_path, monkeypatch):
+        # 7-row chunks split the 40 rows into 6, the last one short
+        features = rng.uniform(-0.5, 1.5, size=(40, 16))
+        ds = Dataset(features, np.arange(40) % 10)
+        save_idx(ds, tmp_path / "whole-img", tmp_path / "whole-lab")
+        monkeypatch.setattr(data, "SAVE_CHUNK", 7)
+        # column-major features still give row-major bytes
+        save_idx(Dataset(np.asfortranarray(features), ds.labels), tmp_path / "img",
+                 tmp_path / "lab")
+        pixels = np.clip(np.round(features * 255.0), 0, 255).astype(np.uint8)
+        header = struct.pack(">iiii", IMAGES_MAGIC, 40, 4, 4)
+        assert (tmp_path / "img").read_bytes() == header + pixels.tobytes()
+        assert (tmp_path / "img").read_bytes() == (tmp_path / "whole-img").read_bytes()
+        assert (tmp_path / "lab").read_bytes() == (tmp_path / "whole-lab").read_bytes()
+
     def test_save_rejects_non_square_rows(self, rng, tmp_path):
         ds = Dataset(rng.random((3, 10)), np.arange(3))
         with pytest.raises(ValueError, match="feature dim 10 is not a square image size"):
@@ -153,8 +199,19 @@ class TestLoadIdx:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one float64 copy plus the uint8 pixels and their bytes; two copies is 2.0x
-        assert peak < 1.5 * ds.features.nbytes
+        # One float64 chunk of 1024 rows plus its uint8 pixels and their bytes;
+        # a float64 copy of all 3050 rows is 2.98 chunks.
+        assert peak < 0.5 * ds.features.nbytes
+        # the rows span three chunks and give the bytes of the whole-array formula
+        pixels = np.clip(np.round(ds.features * 255.0), 0, 255).astype(np.uint8)
+        assert (tmp_path / "img").read_bytes()[16:] == pixels.tobytes()
+
+    def test_save_rejects_unscaled_bytes(self, tmp_path):
+        # uint8 rows times 255 would clip to 0/255 pixels
+        ds = Dataset(np.full((2, 4), 7, dtype=np.uint8), np.array([0, 1]))
+        with pytest.raises(ValueError, match="needs features scaled to \\[0, 1\\], got uint8"):
+            save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadCsv:
