@@ -135,6 +135,7 @@ class ExperimentConfig:
     config_text: str = ""
     config_path: str | None = None
     train: TrainConfig = field(init=False)
+    subsample: SubsampleSpec | None = field(init=False)
 
     def get(self, key, default=None):
         return self.settings.get(key, default)
@@ -146,11 +147,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Set ``train``: TrainConfig defaults, overridden by the training keys
-        present, checked as TrainConfig is built; ``k`` and ``latent_dim`` too."""
+        present, checked as TrainConfig is built; ``k`` and ``latent_dim`` too.
+        Set ``subsample`` to the checked spec when ``subsample.mode`` is given;
+        its seed defaults to the training seed."""
         fields = {SCHEMA[key][1]: value for key, value in self.settings.items()
                   if SCHEMA[key][1] is not None}
         try:
             cfg = TrainConfig(**fields)
+            spec = None
+            if "subsample.mode" in self.settings:
+                spec = SubsampleSpec(
+                    mode=self.settings["subsample.mode"],
+                    r_min=self.settings.get("subsample.r_min", 1.0),
+                    target_class=self.settings.get("subsample.target_class"),
+                    counts=self.settings.get("subsample.counts"),
+                    seed=self.settings.get("subsample.seed", cfg.seed),
+                )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # dec and rdec fine-tune toward at least two clusters.
@@ -161,6 +173,7 @@ class ExperimentConfig:
         if self.settings.get("latent_dim", 1) < 1:
             raise ConfigError(f"latent_dim must be >= 1, got {self.settings['latent_dim']}")
         self.train = cfg
+        self.subsample = spec
 
 
 def load_config(path, assignments=()) -> ExperimentConfig:
@@ -233,33 +246,25 @@ def _existing_paths(cfg: ExperimentConfig, source: DataSource, *,
     return paths
 
 
-def _load_filtered(cfg: ExperimentConfig, source: DataSource) -> Dataset:
-    """Load the dataset files and keep the configured classes, if any; the
-    rows are not yet scaled."""
+def _select_rows(cfg: ExperimentConfig, source: DataSource) -> tuple[Dataset, Dataset]:
+    """The loaded rows of the configured classes, if any, and of those the
+    rows the subsample keeps, if one is configured; neither is scaled yet.
+    A class or a count that the data cannot supply is a ``ConfigError``."""
     ds = source.load()
     classes = cfg.get("data.classes")
-    if classes:
-        ds = filter_classes(ds, classes)
-    return ds
-
-
-def _subsample_spec(cfg: ExperimentConfig) -> SubsampleSpec:
-    return SubsampleSpec(
-        mode=cfg.require("subsample.mode"),
-        r_min=cfg.get("subsample.r_min", 1.0),
-        target_class=cfg.get("subsample.target_class"),
-        counts=cfg.get("subsample.counts"),
-        seed=cfg.get("subsample.seed", cfg.train.seed),
-    )
+    try:
+        if classes:
+            ds = filter_classes(ds, classes)
+        kept = ds if cfg.subsample is None else subsample(ds, cfg.subsample)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return ds, kept
 
 
 def load_dataset(cfg: ExperimentConfig, source: DataSource) -> Dataset:
     """Load, optionally class-filter, and optionally subsample the dataset,
     then scale the rows kept."""
-    ds = _load_filtered(cfg, source)
-    if cfg.get("subsample.mode"):
-        ds = subsample(ds, _subsample_spec(cfg))
-    return source.scale(ds)
+    return source.scale(_select_rows(cfg, source)[1])
 
 
 def _sha256(path: Path) -> str:
@@ -515,21 +520,20 @@ def cmd_eval(args) -> int:
 
 def cmd_subsample(args) -> int:
     cfg = load_config(args.config, args.set)
-    if cfg.get("subsample.mode") is None:
+    if cfg.subsample is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
     source = _data_source(cfg)
     input_paths = _existing_paths(cfg, source, need_model=False)
 
-    full = _load_filtered(cfg, source)
-    spec = _subsample_spec(cfg)
-    reduced = source.scale(subsample(full, spec))
+    full, kept = _select_rows(cfg, source)
+    reduced = source.scale(kept)
 
     with _publish(args, cfg, "runs/subsample") as (stage, out):
         source.save(reduced, *(stage / name for name in source.outputs.values()))
         _write_manifest(
             stage, cfg, "subsample", input_paths,
             extra={
-                "subsample": vars(spec),
+                "subsample": vars(cfg.subsample),
                 "class_counts_before": full.class_counts,
                 "class_counts_after": reduced.class_counts,
                 "output_files": {key: str(out / name)

@@ -23,18 +23,28 @@ class InfiniteDivergenceError(ValueError):
     """KL(p || q) has q = 0 where p > 0."""
 
 
+def expanded_squared_distances(sq_norms: np.ndarray, z: Matrix, centroids: Matrix,
+                               out: Matrix | None = None) -> Matrix:
+    """``||z_i||^2 - z_i . (2 u_j) + ||u_j||^2`` clamped at 0, written to ``out``.
+
+    ``sq_norms`` holds the row norms ``np.sum(z**2, axis=1)``, so a caller
+    that reuses ``z`` computes them once. Doubling a float is exact, so the
+    product has the bits of ``(2 z) @ u.T``; ``out`` is an (n, k) workspace,
+    allocated when None.
+    """
+    out = np.matmul(z, (2.0 * centroids).T, out=out)
+    np.subtract(sq_norms[:, None], out, out=out)
+    out += np.sum(centroids**2, axis=1)
+    return np.maximum(out, 0.0, out=out)
+
+
 def squared_distances(z: Matrix, centroids: Matrix) -> Matrix:
     """Pairwise ||z_i - u_j||^2, clamped at 0 against round-off."""
     if z.ndim != 2 or centroids.ndim != 2 or z.shape[1] != centroids.shape[1]:
         raise ShapeMismatchError(
             f"points {z.shape} and centroids {centroids.shape} differ in dimension"
         )
-    d = (
-        np.sum(z**2, axis=1)[:, None]
-        - 2.0 * z @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
+    return expanded_squared_distances(np.sum(z**2, axis=1), z, centroids)
 
 
 def _kernel(dists: Matrix, alpha: float) -> Matrix:

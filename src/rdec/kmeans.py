@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dec import expanded_squared_distances
+
 
 @dataclass
 class KMeansResult:
@@ -14,30 +16,6 @@ class KMeansResult:
     inertia: float
     # Per-iteration inertia of the winning run; Lloyd guarantees it never increases.
     inertia_history: list[float]
-
-
-def _nearest(sq_norms, twice_points, centroids, gram, dists):
-    """Nearest centroid of every point and the squared distance to it.
-
-    The distances are ``||x||^2 - (2x) @ c + ||c||^2`` clamped at 0. The
-    GEMM keeps the (n, k) orientation; the product is then laid out as
-    (k, n) so every elementwise step runs along n. One sweep over the k
-    rows keeps the lowest index on ties, as ``argmin`` does, and the
-    running minimum is the point cost. ``gram`` (n, k) and ``dists``
-    (k, n) are workspaces; the returned cost is a view into ``dists``.
-    """
-    np.matmul(twice_points, centroids.T, out=gram)
-    np.copyto(dists, gram.T)
-    np.subtract(sq_norms, dists, out=dists)
-    dists += np.sum(centroids**2, axis=1)[:, None]
-    np.maximum(dists, 0.0, out=dists)
-    assignments = np.zeros(dists.shape[1], dtype=np.int64)
-    cost = dists[0]
-    for j in range(1, dists.shape[0]):
-        assignments[dists[j] < cost] = j
-        # Distances are finite and never -0.0, so equal values have equal bits.
-        np.minimum(cost, dists[j], out=cost)
-    return assignments, cost
 
 
 def _update_centroids(columns, points, assignments, point_cost, centroids) -> None:
@@ -62,15 +40,17 @@ def _update_centroids(columns, points, assignments, point_cost, centroids) -> No
             cost[far] = -np.inf
 
 
-def _lloyd(points, columns, sq_norms, twice_points, k: int,
-           rng: np.random.Generator, max_iter: int):
+def _lloyd(points, columns, sq_norms, k: int, rng: np.random.Generator, max_iter: int):
     n = points.shape[0]
+    rows = np.arange(n)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1, dtype=np.int64)
-    gram, dists = np.empty((n, k)), np.empty((k, n))
+    dists = np.empty((n, k))
     history: list[float] = []
     for _ in range(max_iter):
-        new_assignments, point_cost = _nearest(sq_norms, twice_points, centroids, gram, dists)
+        expanded_squared_distances(sq_norms, points, centroids, out=dists)
+        new_assignments = dists.argmin(axis=1)  # ties go to the lower index
+        point_cost = dists[rows, new_assignments]
         history.append(float(point_cost.sum()))
         if np.array_equal(new_assignments, assignments):
             break
@@ -78,7 +58,9 @@ def _lloyd(points, columns, sq_norms, twice_points, k: int,
         _update_centroids(columns, points, assignments, point_cost, centroids)
     else:
         # The centroids moved after the last assignment.
-        assignments, point_cost = _nearest(sq_norms, twice_points, centroids, gram, dists)
+        expanded_squared_distances(sq_norms, points, centroids, out=dists)
+        assignments = dists.argmin(axis=1)
+        point_cost = dists[rows, assignments]
     return centroids, assignments, float(point_cost.sum()), history
 
 
@@ -93,10 +75,12 @@ def kmeans(
 
     Each restart draws its initial centroids from a generator seeded with
     (seed, restart index), so runs are reproducible and independent of
-    whether restarts execute sequentially or not. For points with at
-    least two columns the results are bit-identical to a plain Lloyd step
-    (``argmin`` over the (n, k) distances, masked ``mean`` per cluster).
-    The call holds two extra copies of the points, doubled and transposed.
+    whether restarts execute sequentially or not. Each Lloyd step takes
+    the ``argmin`` of ``dec.expanded_squared_distances`` in one (n, k)
+    workspace and sums each cluster per column with ``bincount``; for
+    points with at least two columns the results are bit-identical to a
+    plain Lloyd step (``argmin``, masked ``mean`` per cluster). The call
+    holds one extra copy of the points, transposed, for those sums.
     """
     points = np.asarray(points, dtype=np.float64)
     if k < 1:
@@ -111,13 +95,12 @@ def kmeans(
 
     # Invariants of every Lloyd iteration, computed once per call.
     sq_norms = np.sum(points**2, axis=1)
-    twice_points = 2.0 * points
     columns = np.ascontiguousarray(points.T)
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centroids, assignments, inertia, history = _lloyd(
-            points, columns, sq_norms, twice_points, k, rng, max_iter
+            points, columns, sq_norms, k, rng, max_iter
         )
         if best is None or inertia < best.inertia:
             best = KMeansResult(centroids, assignments, inertia, history)

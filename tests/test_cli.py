@@ -453,7 +453,12 @@ class TestSetOption:
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
         (["gamma"], "--set:1: expected 'key = value', got 'gamma'"),
         (["gamma=-1"], "gamma must be >= 0, got -1.0"),
-    ], ids=["unknown-key", "bad-value", "duplicate", "no-equals", "invalid"])
+        (["subsample.mode=bogus"], "unknown subsample mode 'bogus'"),
+        (["subsample.r_min=0"], "r_min must be in (0, 1], got 0.0"),
+        (["subsample.mode=single_class"], "single_class mode needs target_class"),
+        (["subsample.counts="], "explicit_counts mode needs counts"),
+    ], ids=["unknown-key", "bad-value", "duplicate", "no-equals", "invalid", "subsample-mode",
+            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
                                                  monkeypatch, command, assignments,
                                                  message):
@@ -464,6 +469,26 @@ class TestSetOption:
         cfg = write_config(tmp_path, idx_fixture,
                            extra="subsample.mode = explicit_counts\nsubsample.counts = 10,25\n")
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    @pytest.mark.parametrize("assignments, message", [
+        (["data.classes=0,11"], "classes [11] absent from dataset"),
+        (["subsample.mode=single_class", "subsample.target_class=11"],
+         "class 11 absent from dataset"),
+        (["subsample.counts=10,25,5"], "3 counts for 2 classes in dataset"),
+        (["subsample.counts=10,61"], "class 1: requested 61 of 60 available"),
+    ], ids=["absent-class", "absent-target-class", "counts-length", "too-many-rows"])
+    def test_config_the_data_cannot_supply_exits_2(self, tmp_path, idx_fixture, capsys,
+                                                   command, assignments, message):
+        cfg = write_config(tmp_path, idx_fixture,
+                           extra="subsample.mode = explicit_counts\nsubsample.counts = 10,25\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r"),
+                "--set", "method=kmeans"]
         for assignment in assignments:
             argv += ["--set", assignment]
         assert main(argv) == 2
@@ -708,7 +733,7 @@ class TestSubsampleCommand:
         rows = Dataset(np.arange(n, dtype=np.float64)[:, None], labels.astype(np.int64))
         if classes:
             rows = filter_classes(rows, classes)
-        picked = subsample(rows, cli._subsample_spec(load_config(cfg)))
+        picked = subsample(rows, load_config(cfg).subsample)
         np.testing.assert_array_equal(index, picked.features[:, 0])
 
 
@@ -754,7 +779,7 @@ class TestDataPathMemory:
         # the float64-first path: every row scaled on load, then selected
         old = reduce(concat, (load_idx(images, labels, name="mem")
                               for images, labels in two_files))
-        old = subsample(filter_classes(old, [0, 1, 2]), cli._subsample_spec(cfg))
+        old = subsample(filter_classes(old, [0, 1, 2]), cfg.subsample)
         assert ds.features.dtype == np.float64 and ds.features.shape == old.features.shape
         assert ds.features.tobytes() == old.features.tobytes()
         np.testing.assert_array_equal(ds.labels, old.labels)

@@ -10,11 +10,25 @@ from rdec.dec import (
     clustering_grads,
     kl_divergence,
     soft_assign,
+    squared_distances,
     target_distribution,
 )
 from rdec.tensor import ShapeMismatchError
 
 from conftest import numerical_grad, relative_error
+
+
+@pytest.mark.parametrize("n, k, d", [(1, 1, 3), (1, 10, 2), (300, 1, 10), (64, 7, 1),
+                                     (200, 10, 784), (400, 33, 17)])
+def test_squared_distances_bits_equal_the_literal_expansion(n, k, d):
+    # Centroids sit 1e-9 from data rows, so round-off below 0 is clamped too.
+    rng = np.random.default_rng(n * k * d)
+    z = rng.standard_normal((n, d))
+    u = z[rng.integers(0, n, size=k)] + 1e-9 * rng.standard_normal((k, d))
+    sq = np.sum(z**2, axis=1)
+    want = np.maximum(sq[:, None] - 2.0 * z @ u.T + np.sum(u**2, 1)[None, :], 0.0)
+    got = squared_distances(z, u)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSoftAssign:

@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,8 @@ ORACLE_CASES = {
     "k-equals-n": (_normal(4, (12, 3)), 12, {}),
     "max-iter-1": (_blobs(100, 4, 6, seed=5), 6, {"max_iter": 1}),
     "pixels-784": (np.random.default_rng(6).random((200, 784)), 10, {}),
+    # wide k and an odd dimension: GEMM edge shapes
+    "wide-k33-d17": (_blobs(400, 17, 33, seed=8), 33, {}),
 }
 
 
@@ -197,6 +200,19 @@ def test_bit_identical_to_plain_lloyd(case):
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.inertia == want.inertia
     assert got.inertia_history == want.inertia_history
+
+
+def test_holds_one_extra_copy_of_the_points():
+    # The transposed columns for the per-cluster sums are the one full-size
+    # copy; the (n, k) distances and the row norms are small beside it.
+    points = np.random.default_rng(9).random((3000, 784))
+    tracemalloc.start()
+    try:
+        kmeans(points, 10, restarts=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * points.nbytes
 
 
 def test_one_column_means_agree_to_round_off():
