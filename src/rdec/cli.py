@@ -148,21 +148,17 @@ class ExperimentConfig:
     def __post_init__(self):
         """Set ``train``: TrainConfig defaults, overridden by the training keys
         present, checked as TrainConfig is built; ``k`` and ``latent_dim`` too.
-        Set ``subsample`` to the checked spec when ``subsample.mode`` is given;
-        its seed defaults to the training seed."""
+        Set ``subsample`` the same way from the ``subsample.*`` keys present, if
+        any: they need ``subsample.mode``; the seed defaults to the training one."""
         fields = {SCHEMA[key][1]: value for key, value in self.settings.items()
                   if SCHEMA[key][1] is not None}
+        sub = {key.removeprefix("subsample."): value for key, value in self.settings.items()
+               if key.startswith("subsample.")}
+        if sub and "mode" not in sub:
+            raise ConfigError(f"subsample.{next(iter(sub))} is set but subsample.mode is not")
         try:
             cfg = TrainConfig(**fields)
-            spec = None
-            if "subsample.mode" in self.settings:
-                spec = SubsampleSpec(
-                    mode=self.settings["subsample.mode"],
-                    r_min=self.settings.get("subsample.r_min", 1.0),
-                    target_class=self.settings.get("subsample.target_class"),
-                    counts=self.settings.get("subsample.counts"),
-                    seed=self.settings.get("subsample.seed", cfg.seed),
-                )
+            spec = SubsampleSpec(**{"seed": cfg.seed, **sub}) if sub else None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # dec and rdec fine-tune toward at least two clusters.

@@ -75,6 +75,10 @@ class SubsampleSpec:
             raise ValueError("single_class mode needs target_class")
         if self.mode == "explicit_counts" and not self.counts:
             raise ValueError("explicit_counts mode needs counts")
+        if self.counts and min(self.counts) < 0:
+            raise ValueError(f"subsample counts must be >= 0, got {self.counts}")
+        if self.seed < 0:
+            raise ValueError(f"subsample seed must be >= 0, got {self.seed}")
 
 
 def _open_maybe_gzip(path, mode="rb", **text_options):

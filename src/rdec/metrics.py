@@ -25,9 +25,19 @@ class ContingencyTable:
 
 
 def _as_label_array(values, name: str) -> np.ndarray:
+    """``values`` as int64; a value that is not a finite integer within int64's
+    range is a ValueError naming the first such value. Arrays that cast to
+    int64 safely pass unchecked."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not np.can_cast(arr.dtype, np.int64):
+        floats = arr.astype(np.float64)
+        # NaN fails every comparison and the infinities fail the range
+        bad = ~((np.floor(floats) == floats) & (floats >= -2.0**63) & (floats < 2.0**63))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{name}[{i}] is {arr[i].item()!r}, not an int64 integer")
     return arr.astype(np.int64)
 
 

@@ -371,6 +371,65 @@ def test_shipped_config_spells_out_the_defaults(path):
                             seed=train.seed)
 
 
+SINGLE_CLASS_0 = {"mode": "single_class", "r_min": 0.1, "target_class": 0, "counts": None,
+                  "seed": 1234}
+IMBALL_COUNTS = {"mode": "explicit_counts", "r_min": 1.0, "target_class": None,
+                 "counts": [10, 30, 50, 1000, 200, 500, 300, 6000, 4000, 800], "seed": 1234}
+INTERPOLATED_01 = {"mode": "interpolated", "r_min": 0.1, "target_class": None, "counts": None,
+                   "seed": 1234}
+# What each shipped config's subsample.* keys resolve to; None without a mode.
+SHIPPED_SUBSAMPLE = {
+    "mnist06_dec.cfg": None,
+    "mnist06_imb_dec.cfg": SINGLE_CLASS_0,
+    "mnist06_imb_pretrain.cfg": SINGLE_CLASS_0,
+    "mnist06_imb_rdec.cfg": SINGLE_CLASS_0,
+    "mnist06_pretrain.cfg": None,
+    "mnist06_rdec.cfg": None,
+    "mnist_ae_kmeans.cfg": None,
+    "mnist_dec.cfg": None,
+    "mnist_imb0_dec.cfg": SINGLE_CLASS_0,
+    "mnist_imb0_pretrain.cfg": SINGLE_CLASS_0,
+    "mnist_imb0_rdec.cfg": SINGLE_CLASS_0,
+    "mnist_imball_dec.cfg": IMBALL_COUNTS,
+    "mnist_imball_pretrain.cfg": IMBALL_COUNTS,
+    "mnist_imball_rdec.cfg": IMBALL_COUNTS,
+    "mnist_kmeans.cfg": None,
+    "mnist_pretrain.cfg": None,
+    "mnist_rdec.cfg": None,
+    "mnist_rmin01_dec.cfg": INTERPOLATED_01,
+    "mnist_rmin01_pretrain.cfg": INTERPOLATED_01,
+    "mnist_rmin01_rdec.cfg": INTERPOLATED_01,
+}
+
+
+def test_every_shipped_config_has_a_subsample_pin():
+    assert sorted(SHIPPED_SUBSAMPLE) == [path.name for path in CONFIGS]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_resolves_its_subsample_spec(path):
+    spec = load_config(path).subsample
+    expected = SHIPPED_SUBSAMPLE[path.name]
+    assert (None if spec is None else vars(spec)) == expected
+
+
+def test_every_subsample_key_lands_on_its_field(tmp_path):
+    path = tmp_path / "all.cfg"
+    path.write_text("subsample.mode = explicit_counts\nsubsample.r_min = 0.5\n"
+                    "subsample.target_class = 3\nsubsample.counts = 4,5\n"
+                    "subsample.seed = 9\nseed = 7\n")
+    cfg = load_config(path)
+    assert ({key for key in cfg.settings if key.startswith("subsample.")}
+            == {key for key in SCHEMA if key.startswith("subsample.")})
+    assert vars(cfg.subsample) == {"mode": "explicit_counts", "r_min": 0.5,
+                                   "target_class": 3, "counts": [4, 5], "seed": 9}
+
+
+def test_subsample_seed_defaults_to_the_training_seed():
+    spec = ExperimentConfig(settings={"subsample.mode": "interpolated", "seed": 7}).subsample
+    assert (spec.seed, spec.r_min) == (7, 1.0)
+
+
 class TestTrainConfigMapping:
     def test_every_training_key_lands_on_its_field(self, tmp_path):
         path = tmp_path / "all.cfg"
@@ -457,8 +516,11 @@ class TestSetOption:
         (["subsample.r_min=0"], "r_min must be in (0, 1], got 0.0"),
         (["subsample.mode=single_class"], "single_class mode needs target_class"),
         (["subsample.counts="], "explicit_counts mode needs counts"),
+        (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
+        (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
     ], ids=["unknown-key", "bad-value", "duplicate", "no-equals", "invalid", "subsample-mode",
-            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts"])
+            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts",
+            "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
                                                  monkeypatch, command, assignments,
                                                  message):
@@ -473,6 +535,25 @@ class TestSetOption:
             argv += ["--set", assignment]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    @pytest.mark.parametrize("assignments, key", [
+        (["subsample.r_min=0.1"], "subsample.r_min"),
+        (["subsample.seed=5", "subsample.counts=1,2"], "subsample.seed"),
+    ], ids=["r-min", "first-of-two"])
+    def test_a_subsample_key_without_a_mode_exits_2_before_the_data_loads(
+            self, tmp_path, idx_fixture, capsys, monkeypatch, command, assignments, key):
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "read_idx", no_load)
+        cfg = write_config(tmp_path, idx_fixture)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {key} is set but subsample.mode is not\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])

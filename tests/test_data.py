@@ -412,6 +412,10 @@ class TestSubsample:
             SubsampleSpec(mode="single_class", r_min=0.5)
         with pytest.raises(ValueError):
             SubsampleSpec(mode="explicit_counts")
+        with pytest.raises(ValueError, match=r"^subsample counts must be >= 0, got \[-1, 5\]$"):
+            SubsampleSpec(mode="explicit_counts", counts=[-1, 5])
+        with pytest.raises(ValueError, match=r"^subsample seed must be >= 0, got -1$"):
+            SubsampleSpec(mode="interpolated", r_min=0.5, seed=-1)
 
     def test_unlabeled_rejected(self, rng):
         ds = Dataset(features=rng.standard_normal((5, 2)), labels=None)

@@ -234,3 +234,39 @@ class TestPerClassPrf:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             per_class_prf([0, 1], [0, 1, 1], {0: 0, 1: 1}, 0)
+
+
+SCORERS = {
+    "accuracy": accuracy,
+    "adjusted_rand_index": adjusted_rand_index,
+    "per_class_prf": lambda labels, assignments: per_class_prf(labels, assignments, {}, 0),
+}
+
+
+class TestLabelValues:
+    @pytest.mark.parametrize("scorer", SCORERS.values(), ids=SCORERS.keys())
+    @pytest.mark.parametrize("assignments, message", [
+        ([0.5, 1.5, 0.2], "assignments[0] is 0.5, not an int64 integer"),
+        ([0, 1, np.nan], "assignments[2] is nan, not an int64 integer"),
+        ([0, -np.inf, 1], "assignments[1] is -inf, not an int64 integer"),
+        ([1e20, 0, 1], "assignments[0] is 1e+20, not an int64 integer"),
+        ([0, 2.0**63, 1], "assignments[1] is 9.223372036854776e+18, not an int64 integer"),
+    ], ids=["fraction", "nan", "inf", "1e20", "2**63"])
+    def test_a_label_that_is_not_an_int64_integer_raises(self, scorer, assignments, message):
+        with pytest.raises(ValueError) as info:
+            scorer([0, 1, 0], assignments)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            scorer(assignments, [0, 1, 0])
+        assert str(info.value) == message.replace("assignments", "labels")
+
+    @pytest.mark.parametrize("scorer", SCORERS.values(), ids=SCORERS.keys())
+    def test_integral_floats_score_as_their_integers(self, scorer):
+        labels, assignments = [0, 0, 1, 1, 0], [3, 3, 7, 3, 7]
+        floats = np.array(assignments, dtype=np.float64)
+        assert scorer(labels, floats) == scorer(labels, assignments)
+        assert (scorer(np.array(labels, dtype=np.float32), assignments)
+                == scorer(labels, assignments))
+
+    def test_the_lowest_int64_as_a_float_passes(self):
+        assert accuracy([0, 1, 0], [-2.0**63, 0.0, -2.0**63]) == (1.0, {-2**63: 0, 0: 1})
