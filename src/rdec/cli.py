@@ -14,7 +14,7 @@ run directories, ``eval --out``'s included, are never overwritten; a
 timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure or a
-malformed input data file.
+malformed input file (data, label or model).
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
 deterministic for a fixed thread count). The ``rdec`` package applies it on
 its first import, before numpy loads, for this CLI and library scripts alike.
@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -53,7 +53,7 @@ from .data import (
     subsample,
 )
 from .network import build_network, encode, load_model, save_model
-from .trainer import ENCODER_METHODS, TrainConfig, pretrain, run_clustering
+from .trainer import ENCODER_METHODS, IterationRecord, TrainConfig, pretrain, run_clustering
 
 
 class ConfigError(ValueError):
@@ -336,21 +336,17 @@ def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
     _write_json(out / "manifest.json", manifest)
 
 
-def _progress_printer(stream=sys.stderr):
-    def report(event: dict) -> None:
-        if event["phase"] == "pretrain":
-            print(f"[pretrain] epoch {event['epoch']}: loss {event['loss']:.6f}",
-                  file=stream)
-        else:
-            parts = [f"[finetune] iter {event['iteration']}: loss {event['loss']:.6f}"]
-            if event.get("acc") is not None:
-                parts.append(f"acc {event['acc']:.4f}")
-            if event.get("label_change_rate") is not None:
-                parts.append(f"delta {event['label_change_rate']:.4f}")
-            print(" ".join(parts), file=stream)
-        stream.flush()
-
-    return report
+def _print_progress(event: dict) -> None:
+    if event["phase"] == "pretrain":
+        line = f"[pretrain] epoch {event['epoch']}: loss {event['loss']:.6f}"
+    else:
+        parts = [f"[finetune] iter {event['iteration']}: loss {event['loss']:.6f}"]
+        if event.get("acc") is not None:
+            parts.append(f"acc {event['acc']:.4f}")
+        if event.get("label_change_rate") is not None:
+            parts.append(f"delta {event['label_change_rate']:.4f}")
+        line = " ".join(parts)
+    print(line, file=sys.stderr, flush=True)
 
 
 def cmd_pretrain(args) -> int:
@@ -362,11 +358,10 @@ def cmd_pretrain(args) -> int:
     encoder, decoder = build_network(ds.dim, latent, cfg.train.seed)
 
     epochs_log: list[dict] = []
-    printer = _progress_printer()
 
     def log_epoch(event: dict) -> None:
         epochs_log.append({"epoch": event["epoch"], "loss": event["loss"]})
-        printer(event)
+        _print_progress(event)
 
     final_loss = pretrain(encoder, decoder, ds.features, cfg.train, progress=log_epoch)
 
@@ -403,6 +398,10 @@ def _write_metrics_csv(path: Path, final: dict) -> None:
     _write_csv(path, ("metric", "class", "value"), rows)
 
 
+# curves.csv columns: every IterationRecord field, then the step ACC
+CURVE_FIELDS = [f.name for f in fields(IterationRecord)]
+
+
 def _curve_rows(report):
     # acc is the most recent checkpoint value at each iteration (step curve)
     acc_at = {c.iteration: c.acc for c in report.checkpoints}
@@ -410,7 +409,7 @@ def _curve_rows(report):
     for rec in report.iterations:
         if acc_at.get(rec.iteration) is not None:
             current_acc = acc_at[rec.iteration]
-        yield rec.iteration, rec.clustering_loss, rec.vat_loss, rec.total_loss, current_acc
+        yield [getattr(rec, name) for name in CURVE_FIELDS] + [current_acc]
 
 
 def cmd_train(args) -> int:
@@ -437,7 +436,7 @@ def cmd_train(args) -> int:
 
     assignments, report = run_clustering(
         method, ds.features, k, cfg.train, encoder=encoder,
-        labels=ds.labels, progress=_progress_printer(),
+        labels=ds.labels, progress=_print_progress,
     )
 
     final = _final_metrics(ds.labels, assignments)
@@ -450,9 +449,7 @@ def cmd_train(args) -> int:
         _write_csv(stage / "assignments.csv", ("assignment",), ((a,) for a in assignments))
         if final is not None:
             _write_metrics_csv(stage / "metrics.csv", final)
-        _write_csv(stage / "curves.csv",
-                   ("iteration", "clustering_loss", "vat_loss", "total_loss", "acc"),
-                   _curve_rows(report))
+        _write_csv(stage / "curves.csv", CURVE_FIELDS + ["acc"], _curve_rows(report))
         if encoder is not None and encoder.output_dim == 2:
             z = encode(encoder, ds.features)
             columns = {"z0": z[:, 0], "z1": z[:, 1], "assignment": assignments}
@@ -486,7 +483,7 @@ def _read_label_file(path) -> np.ndarray:
                 value = None
             # is_integer is False for NaN and the infinities
             if value is None or not (value.is_integer() and -2**63 <= value < 2**63):
-                raise ConfigError(f"{path}:{lineno}: {text!r} is not an int64 integer")
+                raise DataFormatError(f"{path}:{lineno}: {text!r} is not an int64 integer")
             values.append(int(value))
     return np.array(values, dtype=np.int64)
 

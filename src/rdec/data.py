@@ -254,7 +254,7 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def concat(first: Dataset, second: Dataset, name: str | None = None) -> Dataset:
+def concat(first: Dataset, second: Dataset) -> Dataset:
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
     if (first.labels is None) != (second.labels is None):
@@ -265,11 +265,11 @@ def concat(first: Dataset, second: Dataset, name: str | None = None) -> Dataset:
     return Dataset(
         features=np.vstack([first.features, second.features]),
         labels=labels,
-        name=name or first.name,
+        name=first.name,
     )
 
 
-def filter_classes(ds: Dataset, keep, name: str | None = None) -> Dataset:
+def filter_classes(ds: Dataset, keep) -> Dataset:
     """Keep only rows whose label is in `keep`, preserving order."""
     if ds.labels is None:
         raise ValueError("filter_classes needs a labeled dataset")
@@ -277,21 +277,13 @@ def filter_classes(ds: Dataset, keep, name: str | None = None) -> Dataset:
     missing = set(keep) - set(np.unique(ds.labels).tolist())
     if missing:
         raise ValueError(f"classes {sorted(missing)} absent from {ds.name}")
-    mask = np.isin(ds.labels, keep)
-    return Dataset(
-        features=ds.features[mask],
-        labels=ds.labels[mask],
-        name=name or ds.name,
-    )
+    return _take(ds, np.flatnonzero(np.isin(ds.labels, keep)))
 
 
-def _take(ds: Dataset, indices: np.ndarray, name: str) -> Dataset:
-    indices = np.sort(indices)  # keep original row order
-    return Dataset(
-        features=ds.features[indices],
-        labels=ds.labels[indices] if ds.labels is not None else None,
-        name=name,
-    )
+def _take(ds: Dataset, indices: np.ndarray) -> Dataset:
+    """The labeled rows at `indices`, in their original order."""
+    indices = np.sort(indices)
+    return Dataset(features=ds.features[indices], labels=ds.labels[indices], name=ds.name)
 
 
 def subsample(ds: Dataset, spec: SubsampleSpec) -> Dataset:
@@ -307,7 +299,6 @@ def subsample(ds: Dataset, spec: SubsampleSpec) -> Dataset:
         raise ValueError("subsample needs a labeled dataset")
     rng = np.random.default_rng(spec.seed)
     classes = np.unique(ds.labels)
-    name = f"{ds.name}-{spec.mode}"
 
     if spec.mode == "single_class":
         if spec.target_class not in classes:
@@ -316,7 +307,7 @@ def subsample(ds: Dataset, spec: SubsampleSpec) -> Dataset:
         want = int(round(spec.r_min * len(target_idx)))
         kept_target = rng.choice(target_idx, size=want, replace=False)
         others = np.flatnonzero(ds.labels != spec.target_class)
-        return _take(ds, np.concatenate([kept_target, others]), name)
+        return _take(ds, np.concatenate([kept_target, others]))
 
     if spec.mode == "explicit_counts":
         if len(spec.counts) != len(classes):
@@ -331,7 +322,7 @@ def subsample(ds: Dataset, spec: SubsampleSpec) -> Dataset:
                     f"class {int(cls)}: requested {want} of {len(idx)} available"
                 )
             picks.append(rng.choice(idx, size=want, replace=False))
-        return _take(ds, np.concatenate(picks), name)
+        return _take(ds, np.concatenate(picks))
 
     # interpolated; rng.random() < 1.0 always holds, so rate-1 classes keep every row
     keep_mask = np.zeros(ds.n, dtype=bool)
@@ -340,4 +331,4 @@ def subsample(ds: Dataset, spec: SubsampleSpec) -> Dataset:
         prob = spec.r_min + k * (1.0 - spec.r_min) / denom
         idx = np.flatnonzero(ds.labels == cls)
         keep_mask[idx] = rng.random(len(idx)) < prob
-    return _take(ds, np.flatnonzero(keep_mask), name)
+    return _take(ds, np.flatnonzero(keep_mask))

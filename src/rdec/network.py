@@ -8,12 +8,14 @@ linear embedding/output layers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .data import DataFormatError
 from .tensor import (
     Matrix,
     ShapeMismatchError,
@@ -41,12 +43,6 @@ class Layer:
 @dataclass
 class Network:
     layers: list[Layer] = field(default_factory=list)
-
-    @property
-    def layer_dims(self) -> list[int]:
-        dims = [self.layers[0].weight.shape[0]]
-        dims += [layer.weight.shape[1] for layer in self.layers]
-        return dims
 
     @property
     def input_dim(self) -> int:
@@ -267,9 +263,11 @@ def _write_network(fh, net: Network) -> None:
 
 
 def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
+    # Read no more than the file holds: a corrupt header must not size a buffer.
+    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(data) != size:
-        raise ValueError(f"model file truncated: wanted {size} bytes, got {len(data)}")
+        raise DataFormatError(f"{fh.name}: truncated model file, wanted {size} bytes, "
+                              f"got {len(data)}")
     return data
 
 
@@ -279,7 +277,7 @@ def _read_network(fh) -> Network:
     for _ in range(n_layers):
         fan_in, fan_out, code = struct.unpack("<IIB", _read_exact(fh, 9))
         if code not in _ACTIVATION_NAMES:
-            raise ValueError(f"model file: unknown activation code {code}")
+            raise DataFormatError(f"{fh.name}: unknown activation code {code}")
         shapes.append((fan_in, fan_out, _ACTIVATION_NAMES[code]))
     layers = []
     for fan_in, fan_out, activation in shapes:
@@ -305,13 +303,15 @@ def save_model(path, encoder: Network, decoder: Network) -> None:
 
 
 def load_model(path) -> tuple[Network, Network]:
+    """Read an encoder/decoder pair; a malformed file raises ``DataFormatError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: bad model magic {magic!r}, expected {MODEL_MAGIC!r}")
+            raise DataFormatError(f"{path}: bad model magic {magic!r}, "
+                                  f"expected {MODEL_MAGIC!r}")
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != 2:
-            raise ValueError(f"{path}: expected encoder+decoder, found {count} networks")
+            raise DataFormatError(f"{path}: expected encoder+decoder, found {count} networks")
         encoder = _read_network(fh)
         decoder = _read_network(fh)
     return encoder, decoder

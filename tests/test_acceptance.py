@@ -326,7 +326,7 @@ def load_mnist_06():
                     name="mnist")
     full = concat(train, test)
     assert full.n == 70_000 and full.dim == 784
-    return filter_classes(full, [0, 6], name="mnist-06")
+    return filter_classes(full, [0, 6])
 
 
 def desk_config(method, seed):

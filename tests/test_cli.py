@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 from rdec import cli, trainer
 from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import (
+    DataFormatError,
     Dataset,
     concat,
     filter_classes,
@@ -25,7 +28,7 @@ from rdec.data import (
     subsample,
 )
 from rdec.dec import InfiniteDivergenceError
-from rdec.network import encode, load_model
+from rdec.network import build_network, encode, load_model, save_model
 from rdec.trainer import TrainConfig
 
 
@@ -316,6 +319,42 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("case", ["bad-magic", "network-count", "truncated",
+                                      "unknown-activation", "oversized-layer"])
+    def test_malformed_model_file_exits_2(self, tmp_path, idx_fixture, capsys, monkeypatch,
+                                          case):
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "read_idx", no_load)
+        model = tmp_path / "model.bin"
+        save_model(model, *build_network(16, 2, seed=0))
+        data = bytearray(model.read_bytes())
+        # magic (8 bytes), network count (4), then the encoder's layer count
+        # (4) and its first layer header: fan-in, fan-out, activation code
+        if case == "bad-magic":
+            data[:8] = b"NOTAMODL"
+            message = f"{model}: bad model magic b'NOTAMODL', expected b'RDECNET1'"
+        elif case == "network-count":
+            data[8:12] = struct.pack("<I", 3)
+            message = f"{model}: expected encoder+decoder, found 3 networks"
+        elif case == "truncated":
+            del data[100:]
+            message = f"{model}: truncated model file, wanted 64000 bytes, got 48"
+        elif case == "unknown-activation":
+            data[24] = 7
+            message = f"{model}: unknown activation code 7"
+        else:
+            # a fan-in of 2**32 - 1 declares a 17 TB first weight matrix
+            data[16:20] = struct.pack("<I", 2**32 - 1)
+            message = (f"{model}: truncated model file, wanted {8 * (2**32 - 1) * 500} bytes, "
+                       f"got {len(data) - 52}")
+        model.write_bytes(bytes(data))
+        cfg = write_config(tmp_path, idx_fixture, model=str(model))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_a_diverging_run_still_exits_1(self, tmp_path, idx_fixture, capsys,
                                            monkeypatch):
         # InfiniteDivergenceError is a ValueError, but not a bad input
@@ -329,6 +368,48 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: InfiniteDivergenceError: q is zero on the support of p\n")
         assert not (tmp_path / "r").exists()
+
+
+class TestRunOutputs:
+    @pytest.mark.parametrize("capture", ["capsys", "redirect_stderr"])
+    def test_progress_lines_go_to_the_current_stderr(self, tmp_path, idx_fixture, capsys,
+                                                     capture):
+        cfg = write_config(tmp_path, idx_fixture, model=str(tmp_path / "pre" / "model.bin"))
+        argvs = [["pretrain", "--config", str(cfg), "--out", str(tmp_path / "pre")],
+                 ["train", "--config", str(cfg), "--set", "method=dec",
+                  "--out", str(tmp_path / "dec")]]
+        if capture == "capsys":
+            assert [main(argv) for argv in argvs] == [0, 0]
+            err = capsys.readouterr().err
+        else:
+            with contextlib.redirect_stderr(io.StringIO()) as stream:
+                assert [main(argv) for argv in argvs] == [0, 0]
+            err = stream.getvalue()
+        epochs = json.loads((tmp_path / "pre" / "pretrain_log.json").read_text())["epochs"]
+        checkpoints = json.loads((tmp_path / "dec" / "report.json").read_text())["checkpoints"]
+        assert len(epochs) == 2 and len(checkpoints) >= 2
+        lines = err.splitlines()
+        assert lines[:2] == [f"[pretrain] epoch {e['epoch']}: loss {e['loss']:.6f}"
+                             for e in epochs]
+        first, second = checkpoints[:2]
+        assert lines[2] == f"[finetune] iter 0: loss {first['loss']:.6f} acc {first['acc']:.4f}"
+        assert lines[3] == (f"[finetune] iter {second['iteration']}: loss {second['loss']:.6f} "
+                            f"acc {second['acc']:.4f} delta {second['label_change_rate']:.4f}")
+        assert len(lines) == 2 + len(checkpoints)
+
+    def test_curves_columns_are_the_iteration_record_fields(self, tmp_path, idx_fixture,
+                                                            pretrained):
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        names = [f.name for f in fields(trainer.IterationRecord)]
+        header, *rows = (line.split(",") for line in
+                         (out / "curves.csv").read_text().splitlines())
+        assert header == names + ["acc"]
+        records = json.loads((out / "report.json").read_text())["iterations"]
+        assert len(rows) == len(records) > 0
+        for row, record in zip(rows, records):
+            assert [float(cell) for cell in row[:-1]] == [record[name] for name in names]
 
 
 # Every training key set away from its default, and the TrainConfig it must give.
@@ -719,6 +800,11 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {assign}:{lineno}: {value!r} is not an int64 integer\n"
+
+    def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):
+        (tmp_path / "l.csv").write_text("0\n1.5\n")
+        with pytest.raises(DataFormatError, match=r"l\.csv:2: '1\.5' is not an int64 integer$"):
+            cli._read_label_file(tmp_path / "l.csv")
 
 
 class TestSubsampleCommand:

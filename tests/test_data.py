@@ -305,6 +305,28 @@ class TestFilterConcat:
         with pytest.raises(ValueError, match="absent"):
             filter_classes(ds, [0, 9])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_filter_equals_a_mask_selection(self, rng, dtype):
+        labels = rng.integers(0, 5, size=300)
+        features = rng.integers(0, 256, size=(300, 16)).astype(dtype)
+        kept = filter_classes(Dataset(features, labels), [3, 0])
+        mask = (labels == 0) | (labels == 3)
+        assert kept.features.dtype == dtype
+        assert kept.features.tobytes() == features[mask].tobytes()
+        assert kept.labels.tobytes() == labels[mask].tobytes()
+
+    @pytest.mark.parametrize("select", [
+        lambda ds: filter_classes(ds, [0, 2]),
+        lambda ds: concat(ds, ds),
+        lambda ds: subsample(ds, SubsampleSpec(mode="single_class", r_min=0.5,
+                                               target_class=1)),
+        lambda ds: subsample(ds, SubsampleSpec(mode="explicit_counts", counts=[2, 3, 4])),
+        lambda ds: subsample(ds, SubsampleSpec(mode="interpolated", r_min=0.5)),
+    ], ids=["filter_classes", "concat", "single_class", "explicit_counts", "interpolated"])
+    def test_selection_keeps_the_name(self, rng, select):
+        ds = Dataset(rng.standard_normal((30, 2)), np.arange(30) % 3, name="raw")
+        assert select(ds).name == "raw"
+
     def test_concat(self):
         a = Dataset(features=np.ones((2, 2)), labels=np.array([0, 1]))
         b = Dataset(features=np.zeros((1, 2)), labels=np.array([1]))

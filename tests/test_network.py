@@ -24,12 +24,15 @@ from conftest import step_grads
 class TestBuildNetwork:
     def test_canonical_dims(self):
         encoder, decoder = build_network(784, 10, seed=0)
-        assert encoder.layer_dims == [784, 500, 500, 2000, 10]
-        assert decoder.layer_dims == [10, 2000, 500, 500, 784]
+        assert [layer.weight.shape for layer in encoder.layers] == [
+            (784, 500), (500, 500), (500, 2000), (2000, 10)]
+        assert [layer.weight.shape for layer in decoder.layers] == [
+            (10, 2000), (2000, 500), (500, 500), (500, 784)]
 
     def test_two_dim_embedding(self):
         encoder, _ = build_network(784, 2, seed=3)
-        assert encoder.layer_dims == [784, 500, 500, 2000, 2]
+        assert [layer.weight.shape for layer in encoder.layers] == [
+            (784, 500), (500, 500), (500, 2000), (2000, 2)]
 
     def test_activations(self):
         encoder, decoder = build_network(12, 3, seed=0)
@@ -129,7 +132,7 @@ class TestEncode:
         encoder, _ = build_network(64, 2, seed=0)
         x = np.random.default_rng(0).random((8 * net_mod.ENCODE_CHUNK, 64))
         # float64 bytes
-        chunk_activations = 8 * 1024 * sum(encoder.layer_dims[1:])
+        chunk_activations = 8 * 1024 * sum(layer.weight.shape[1] for layer in encoder.layers)
         output = 8 * x.shape[0] * encoder.output_dim
         tracemalloc.start()
         try:
