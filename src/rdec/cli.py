@@ -51,6 +51,7 @@ from .data import (
     save_idx,
     scale_pixels,
     subsample,
+    write_csv,
 )
 from .network import build_network, encode, load_model, save_model
 from .trainer import ENCODER_METHODS, IterationRecord, TrainConfig, pretrain, run_clustering
@@ -305,20 +306,6 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _csv_cell(value) -> str:
-    """Floats as the repr of a Python float, None empty, the rest as str."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(_csv_cell(v) for v in row) for row in (header, *rows)]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
                     input_paths: list[Path], extra: dict | None = None) -> None:
     """Write config.txt when there is a config, then manifest.json with the
@@ -395,7 +382,7 @@ def _write_metrics_csv(path: Path, final: dict) -> None:
     rows = [("acc", None, final["acc"]), ("ari", None, final["ari"])]
     for cls, prf in final["per_class"].items():
         rows += [(key, cls, prf[key]) for key in ("recall", "precision", "f_measure")]
-    _write_csv(path, ("metric", "class", "value"), rows)
+    write_csv(path, ("metric", "class", "value"), rows)
 
 
 # curves.csv columns: every IterationRecord field, then the step ACC
@@ -446,16 +433,16 @@ def cmd_train(args) -> int:
     payload["k"] = k
     with _publish(args, cfg, "runs/train") as (stage, out):
         _write_json(stage / "report.json", payload)
-        _write_csv(stage / "assignments.csv", ("assignment",), ((a,) for a in assignments))
+        write_csv(stage / "assignments.csv", ("assignment",), ((a,) for a in assignments))
         if final is not None:
             _write_metrics_csv(stage / "metrics.csv", final)
-        _write_csv(stage / "curves.csv", CURVE_FIELDS + ["acc"], _curve_rows(report))
+        write_csv(stage / "curves.csv", CURVE_FIELDS + ["acc"], _curve_rows(report))
         if encoder is not None and encoder.output_dim == 2:
             z = encode(encoder, ds.features)
             columns = {"z0": z[:, 0], "z1": z[:, 1], "assignment": assignments}
             if ds.labels is not None:
                 columns["label"] = ds.labels
-            _write_csv(stage / "embeddings.csv", columns, zip(*columns.values()))
+            write_csv(stage / "embeddings.csv", columns, zip(*columns.values()))
         _write_manifest(stage, cfg, "train", input_paths)
 
     summary = f"method {method}: stop {report.stop_reason}, " \

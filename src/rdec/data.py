@@ -1,12 +1,12 @@
 """Dataset ingestion (IDX image files, labeled CSV) and imbalanced subsampling.
 
 IDX reads are big-endian and magic-checked. Readers gunzip transparently
-when the file starts with the gzip signature; ``save_csv`` gzips when the
-name ends in ``.gz``. Pixels are scaled to [0, 1] by dividing by 255; that
-normalization is the contract the reconstruction loss and the shipped
-defaults assume. ``read_idx`` leaves them as bytes, so rows can be selected
-by label before the one float64 copy of the kept rows is made. A malformed
-input file raises ``DataFormatError``.
+when the file starts with the gzip signature. Pixels are scaled to [0, 1]
+by dividing by 255; that normalization is the contract the reconstruction
+loss and the shipped defaults assume. ``read_idx`` leaves them as bytes, so
+rows can be selected by label before the one float64 copy of the kept rows
+is made. Every CSV file rdec writes goes through ``write_csv``, with ``\\n``
+line ends. A malformed input file raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -238,20 +238,33 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     return Dataset(features=features, labels=labels.astype(np.int64), name=name)
 
 
-def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    """Write features (and labels, when present) as CSV; floats round-trip."""
+def _csv_cell(value) -> str:
+    """Floats as the repr of a Python float, None empty, the rest as str."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV: ``\\n`` line ends, cells as ``_csv_cell``
+    spells them, gzipped when the name ends in ``.gz``."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wt", newline="") as fh:
-        writer = csv.writer(fh)
-        feature_names = [f"f{i}" for i in range(ds.dim)]
-        if ds.labels is not None:
-            writer.writerow(feature_names + [label_column])
-            for row, label in zip(ds.features, ds.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-        else:
-            writer.writerow(feature_names)
-            for row in ds.features:
-                writer.writerow([repr(float(v)) for v in row])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(map(_csv_cell, header))
+        writer.writerows(map(_csv_cell, row) for row in rows)
+
+
+def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
+    """Write features (and labels, when present) as CSV; floats round-trip."""
+    header = [f"f{i}" for i in range(ds.dim)]
+    rows = (row.tolist() for row in ds.features)
+    if ds.labels is not None:
+        header.append(label_column)
+        rows = ([*cells, label] for cells, label in zip(rows, ds.labels))
+    write_csv(path, header, rows)
 
 
 def concat(first: Dataset, second: Dataset) -> Dataset:

@@ -3,25 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class ContingencyTable:
-    counts: np.ndarray  # (n_pred, n_true) int64
-    pred_values: np.ndarray  # sorted distinct cluster ids (rows)
-    true_values: np.ndarray  # sorted distinct label ids (columns)
-    n: int
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
 
 def _as_label_array(values, name: str) -> np.ndarray:
@@ -41,18 +24,26 @@ def _as_label_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def contingency_table(labels, assignments) -> ContingencyTable:
+def _label_pair(labels, assignments) -> tuple[np.ndarray, np.ndarray]:
+    """Both label arrays as int64; they must be the same length."""
     labels = _as_label_array(labels, "labels")
     assignments = _as_label_array(assignments, "assignments")
     if labels.shape != assignments.shape:
         raise ValueError(
             f"length mismatch: {labels.shape[0]} labels vs {assignments.shape[0]} assignments"
         )
+    return labels, assignments
+
+
+def contingency_table(labels, assignments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, pred_values, true_values), the distinct ids sorted; counts is
+    (n_pred, n_true) int64."""
+    labels, assignments = _label_pair(labels, assignments)
     true_values, true_idx = np.unique(labels, return_inverse=True)
     pred_values, pred_idx = np.unique(assignments, return_inverse=True)
     counts = np.zeros((len(pred_values), len(true_values)), dtype=np.int64)
     np.add.at(counts, (pred_idx, true_idx), 1)
-    return ContingencyTable(counts, pred_values, true_values, int(labels.shape[0]))
+    return counts, pred_values, true_values
 
 
 def _best_assignment(weights: np.ndarray) -> np.ndarray:
@@ -127,22 +118,23 @@ def accuracy(labels, assignments, max_clusters: int = 10_000):
     mapping sends each cluster id to its matched label id; clusters
     matched to padding are absent from the mapping.
     """
-    table = contingency_table(labels, assignments)
-    if table.n == 0:
+    counts, pred_values, true_values = contingency_table(labels, assignments)
+    n = int(counts.sum())
+    if n == 0:
         raise ValueError("ACC needs at least one sample; labels and assignments are empty")
-    size = max(len(table.pred_values), len(table.true_values))
+    size = max(counts.shape)
     if size > max_clusters:
         raise ValueError(f"{size} clusters exceeds the exact-solver cap {max_clusters}")
     padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.counts.shape[0], : table.counts.shape[1]] = table.counts
+    padded[: counts.shape[0], : counts.shape[1]] = counts
     cols = _best_assignment(padded)
     matched = int(padded[np.arange(size), cols].sum())
     mapping = {
-        int(table.pred_values[r]): int(table.true_values[c])
+        int(pred_values[r]): int(true_values[c])
         for r, c in enumerate(cols)
-        if r < len(table.pred_values) and c < len(table.true_values)
+        if r < len(pred_values) and c < len(true_values)
     }
-    return matched / table.n, mapping
+    return matched / n, mapping
 
 
 def adjusted_rand_index(labels, assignments) -> float:
@@ -154,17 +146,18 @@ def adjusted_rand_index(labels, assignments) -> float:
     partitions all-singletons) is undefined by the formula; it returns 0
     and emits a warning.
     """
-    table = contingency_table(labels, assignments)
-    if table.n < 2:
+    counts = contingency_table(labels, assignments)[0]
+    n = int(counts.sum())
+    if n < 2:
         raise ValueError("ARI needs at least two samples")
 
     def comb2(values) -> int:
         return sum(int(v) * (int(v) - 1) // 2 for v in values)
 
-    index = comb2(table.counts.ravel())
-    sum_rows = comb2(table.row_totals)
-    sum_cols = comb2(table.col_totals)
-    total_pairs = table.n * (table.n - 1) // 2
+    index = comb2(counts.ravel())
+    sum_rows = comb2(counts.sum(axis=1))
+    sum_cols = comb2(counts.sum(axis=0))
+    total_pairs = n * (n - 1) // 2
     # (index - rows*cols/total) / ((rows+cols)/2 - rows*cols/total), cleared
     # of fractions: both sides scaled by 2*total
     numerator = 2 * total_pairs * index - 2 * sum_rows * sum_cols
@@ -182,12 +175,7 @@ def per_class_prf(labels, assignments, mapping: dict[int, int], class_id: int):
     Predicted positives are the points in clusters that the accuracy
     mapping sends to class_id. A class with no mapped cluster scores zero.
     """
-    labels = _as_label_array(labels, "labels")
-    assignments = _as_label_array(assignments, "assignments")
-    if labels.shape != assignments.shape:
-        raise ValueError(
-            f"length mismatch: {labels.shape[0]} labels vs {assignments.shape[0]} assignments"
-        )
+    labels, assignments = _label_pair(labels, assignments)
     actual = labels == class_id
     if not actual.any():
         raise ValueError(f"class {class_id} absent from labels")

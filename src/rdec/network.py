@@ -271,13 +271,19 @@ def _read_exact(fh, size: int) -> bytes:
     return data
 
 
-def _read_network(fh) -> Network:
+def _read_network(fh, name: str) -> Network:
+    """Read one network; its layers must chain, each fan-in the previous fan-out."""
     (n_layers,) = struct.unpack("<I", _read_exact(fh, 4))
+    if n_layers == 0:
+        raise DataFormatError(f"{fh.name}: {name} has no layers")
     shapes = []
-    for _ in range(n_layers):
+    for i in range(1, n_layers + 1):
         fan_in, fan_out, code = struct.unpack("<IIB", _read_exact(fh, 9))
         if code not in _ACTIVATION_NAMES:
             raise DataFormatError(f"{fh.name}: unknown activation code {code}")
+        if shapes and fan_in != shapes[-1][1]:
+            raise DataFormatError(f"{fh.name}: {name} layer {i} has fan-in {fan_in}, "
+                                  f"layer {i - 1} has fan-out {shapes[-1][1]}")
         shapes.append((fan_in, fan_out, _ACTIVATION_NAMES[code]))
     layers = []
     for fan_in, fan_out, activation in shapes:
@@ -312,6 +318,13 @@ def load_model(path) -> tuple[Network, Network]:
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != 2:
             raise DataFormatError(f"{path}: expected encoder+decoder, found {count} networks")
-        encoder = _read_network(fh)
-        decoder = _read_network(fh)
+        encoder = _read_network(fh, "encoder")
+        decoder = _read_network(fh, "decoder")
+    if decoder.input_dim != encoder.output_dim:
+        raise DataFormatError(f"{path}: decoder layer 1 has fan-in {decoder.input_dim}, "
+                              f"the encoder's output width is {encoder.output_dim}")
+    if decoder.output_dim != encoder.input_dim:
+        raise DataFormatError(f"{path}: decoder layer {len(decoder.layers)} has fan-out "
+                              f"{decoder.output_dim}, the encoder's input width is "
+                              f"{encoder.input_dim}")
     return encoder, decoder

@@ -19,8 +19,10 @@ from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
 from rdec.data import (
     DataFormatError,
     Dataset,
+    SubsampleSpec,
     concat,
     filter_classes,
+    load_csv,
     load_idx,
     read_idx,
     save_csv,
@@ -28,7 +30,7 @@ from rdec.data import (
     subsample,
 )
 from rdec.dec import InfiniteDivergenceError
-from rdec.network import build_network, encode, load_model, save_model
+from rdec.network import Network, build_network, encode, load_model, save_model
 from rdec.trainer import TrainConfig
 
 
@@ -320,7 +322,9 @@ class TestTrainCommand:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("case", ["bad-magic", "network-count", "truncated",
-                                      "unknown-activation", "oversized-layer"])
+                                      "unknown-activation", "oversized-layer", "no-layers",
+                                      "encoder-chain", "decoder-chain",
+                                      "decoder-not-mirrored", "decoder-latent"])
     def test_malformed_model_file_exits_2(self, tmp_path, idx_fixture, capsys, monkeypatch,
                                           case):
         def no_load(*args, **kwargs):
@@ -328,7 +332,24 @@ class TestTrainCommand:
 
         monkeypatch.setattr(cli, "read_idx", no_load)
         model = tmp_path / "model.bin"
-        save_model(model, *build_network(16, 2, seed=0))
+        # a 16-500-500-2000-2 encoder and its 2-2000-500-500-16 decoder
+        encoder, decoder = build_network(16, 2, seed=0)
+        if case == "no-layers":
+            encoder = Network([])
+            message = f"{model}: encoder has no layers"
+        elif case == "encoder-chain":
+            encoder.layers[1].weight = np.zeros((400, 500))
+            message = f"{model}: encoder layer 2 has fan-in 400, layer 1 has fan-out 500"
+        elif case == "decoder-chain":
+            decoder.layers[2].weight = np.zeros((400, 500))
+            message = f"{model}: decoder layer 3 has fan-in 400, layer 2 has fan-out 500"
+        elif case == "decoder-not-mirrored":
+            decoder = build_network(25, 2, seed=0)[1]
+            message = f"{model}: decoder layer 4 has fan-out 25, the encoder's input width is 16"
+        elif case == "decoder-latent":
+            decoder = build_network(16, 3, seed=0)[1]
+            message = f"{model}: decoder layer 1 has fan-in 3, the encoder's output width is 2"
+        save_model(model, encoder, decoder)
         data = bytearray(model.read_bytes())
         # magic (8 bytes), network count (4), then the encoder's layer count
         # (4) and its first layer header: fan-in, fan-out, activation code
@@ -344,7 +365,7 @@ class TestTrainCommand:
         elif case == "unknown-activation":
             data[24] = 7
             message = f"{model}: unknown activation code 7"
-        else:
+        elif case == "oversized-layer":
             # a fan-in of 2**32 - 1 declares a 17 TB first weight matrix
             data[16:20] = struct.pack("<I", 2**32 - 1)
             message = (f"{model}: truncated model file, wanted {8 * (2**32 - 1) * 500} bytes, "
@@ -859,6 +880,23 @@ class TestSubsampleCommand:
         report = json.loads((tmp_path / "km" / "report.json").read_text())
         assert report["n"] == 90
         assert report["final_metrics"] is not None
+
+    def test_csv_output_has_newline_line_ends(self, tmp_path, idx_fixture):
+        original = load_idx(*idx_fixture)
+        save_csv(original, tmp_path / "in.csv", label_column="cls")
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text("data.format = csv\ndata.label_column = cls\n"
+                       f"data.path = {tmp_path / 'in.csv'}\nsubsample.mode = single_class\n"
+                       "subsample.r_min = 0.5\nsubsample.target_class = 0\n"
+                       "subsample.seed = 3\n")
+        assert main(["subsample", "--config", str(cfg), "--out", str(tmp_path / "sub")]) == 0
+        written = tmp_path / "sub" / "data.csv"
+        assert b"\r" not in written.read_bytes()
+        back = load_csv(written, label_column="cls")
+        want = subsample(original, SubsampleSpec("single_class", r_min=0.5, target_class=0,
+                                                 seed=3))
+        np.testing.assert_array_equal(back.features, want.features)
+        np.testing.assert_array_equal(back.labels, want.labels)
 
     def test_requires_mode(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)

@@ -19,6 +19,7 @@ from rdec.data import (
     save_idx,
     scale_pixels,
     subsample,
+    write_csv,
 )
 
 IMAGES_MAGIC = 0x00000803
@@ -270,6 +271,11 @@ class TestLoadCsv:
         back = load_csv(path, label_column="label")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_write_csv_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b,c", "d"), [(None, np.float64(0.1), 3)])
+        assert path.read_bytes() == b"a,\"b,c\",d\n,0.1,3\n"
 
     def test_gzip_round_trip(self, tmp_path, rng):
         ds = Dataset(features=rng.standard_normal((4, 2)), labels=None)

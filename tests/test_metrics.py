@@ -55,11 +55,10 @@ def pair_counting_ari(labels, assignments):
 
 class TestContingency:
     def test_counts_and_marginals(self):
-        table = contingency_table([0, 0, 1, 1], [3, 3, 3, 7])
-        np.testing.assert_array_equal(table.counts, [[2, 1], [0, 1]])
-        np.testing.assert_array_equal(table.row_totals, [3, 1])
-        np.testing.assert_array_equal(table.col_totals, [2, 2])
-        assert table.n == 4
+        counts, pred_values, true_values = contingency_table([0, 0, 1, 1], [3, 3, 3, 7])
+        np.testing.assert_array_equal(counts, [[2, 1], [0, 1]])
+        np.testing.assert_array_equal(pred_values, [3, 7])
+        np.testing.assert_array_equal(true_values, [0, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
