@@ -415,11 +415,13 @@ def cmd_train(args) -> int:
                 f"model embeds to {encoder.output_dim} dims, config says {latent}"
             )
     ds = load_dataset(cfg, source)
+    k = cfg.get("k", 10)
+    if k > ds.n:
+        raise ConfigError(f"k={k} exceeds the {ds.n} rows the data supplies")
     if encoder is not None and encoder.input_dim != ds.dim:
         raise ConfigError(
             f"model expects {encoder.input_dim}-dim inputs, dataset has {ds.dim}"
         )
-    k = cfg.get("k", 10)
 
     assignments, report = run_clustering(
         method, ds.features, k, cfg.train, encoder=encoder,

@@ -152,9 +152,24 @@ class ClusterModel:
         z = encode(self.encoder, x)
         return soft_assign(z, self.centroids, self.alpha)
 
+    def _kl_forward(self, x: Matrix, q_ref: Matrix, need_loss: bool):
+        """Forward half of mean-row KL(q_ref || predict(x)): one forward and
+        one distance pass.
+
+        Returns (loss, q, caches, grad_z, grad_centroids): the KL, or None
+        without need_loss; the prediction on x; the encoder caches backward
+        reads; and the mean-row gradients at the embedding and the centroids.
+        """
+        n = x.shape[0]
+        z, caches = forward(self.encoder, x)
+        q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
+        grad_z /= n
+        grad_centroids /= n
+        loss = kl_divergence(q_ref, q) / n if need_loss else None
+        return loss, q, caches, grad_z, grad_centroids
+
     def _kl_forward_backward(self, x: Matrix, q_ref: Matrix, need_params: bool):
-        """Mean-row KL(q_ref || predict(x)) from one forward, one distance
-        pass and one backward.
+        """Mean-row KL(q_ref || predict(x)) from ``_kl_forward`` and one backward.
 
         Returns (loss, q, grad), q being the prediction on x. With
         need_params, loss is the KL and grad lists the gradients aligned
@@ -162,19 +177,16 @@ class ClusterModel:
         hand-off, the centroid gradient last. Without, loss is None and
         grad is the input gradient from backward's probe.
         """
-        n = x.shape[0]
-        z, caches = forward(self.encoder, x)
-        q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
+        loss, q, caches, grad_z, grad_centroids = self._kl_forward(x, q_ref, need_params)
         if not need_params:
-            return None, q, backward(self.encoder, caches, grad_z / n)
-        loss = kl_divergence(q_ref, q) / n
+            return None, q, backward(self.encoder, caches, grad_z)
         grads = [None] * (2 * len(self.encoder.layers))
 
         def keep(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
             grads[2 * i], grads[2 * i + 1] = grad_weight, grad_bias
 
-        backward(self.encoder, caches, grad_z / n, step=keep)
-        grads.append(grad_centroids / n)
+        backward(self.encoder, caches, grad_z, step=keep)
+        grads.append(grad_centroids)
         return loss, q, grads
 
     def kl_input_grad(self, x: Matrix, q_ref: Matrix) -> Matrix:
@@ -232,26 +244,40 @@ def _reconstruction_loss(autoencoder: Network, data: Matrix) -> float:
     return total / data.size
 
 
+def _stepped_backward(net: Network, optimizers: list[SgdMomentum], caches: list[Matrix],
+                      grad_out: Matrix, added: list[np.ndarray] | None = None) -> None:
+    """Backpropagate grad_out, stepping layer i with ``optimizers[i]`` as
+    soon as backward has its gradients, so one layer's are held at a time.
+
+    ``added``, a gradient list aligned with ``net.parameters()``, has layer
+    i's entries added to its gradients and dropped before the step. Layer
+    i's output is then dropped from the caches: backward has used it, and
+    with no other name for it it is freed before the next layer's
+    gradients are made."""
+    layers = net.layers
+
+    def step(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
+        if added is not None:
+            grad_weight += added[2 * i]
+            grad_bias += added[2 * i + 1]
+            added[2 * i] = added[2 * i + 1] = None
+        optimizers[i].step([layers[i].weight, layers[i].bias], [grad_weight, grad_bias])
+        caches[i + 1] = None
+
+    backward(net, caches, grad_out, step=step)
+
+
 def _reconstruction_step(autoencoder: Network, optimizers: list[SgdMomentum],
                          x: Matrix) -> float:
     """One SGD-momentum step of every layer on the batch MSE, which it returns.
 
-    ``optimizers[i]`` steps layer i as soon as backward has its gradients,
-    so no more than one layer's gradients are held at a time. Layer i's
-    output is then dropped from the caches: backward has used it, and with
-    no other name for it (the reconstruction included) it is freed before
-    the next layer's gradients are made. The rest of the batch's
-    activations and gradients are freed on return, so none of them are
-    still held while the next batch allocates its own."""
+    The reconstruction is freed with the other layer outputs as backward
+    passes it, and the rest of the batch's activations and gradients on
+    return, so none of them are still held while the next batch allocates
+    its own."""
     caches = forward(autoencoder, x)[1]
     loss, grad = mse_loss(caches[-1], x)
-    layers = autoencoder.layers
-
-    def step(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
-        optimizers[i].step([layers[i].weight, layers[i].bias], [grad_weight, grad_bias])
-        caches[i + 1] = None
-
-    backward(autoencoder, caches, grad, step=step)
+    _stepped_backward(autoencoder, optimizers, caches, grad)
     return loss
 
 
@@ -300,8 +326,11 @@ def finetune(
     """Jointly optimize encoder weights and centroids; returns hard assignments.
 
     Centroids start from the best of several K-means runs on the embedded
-    data and are updated by the same SGD-momentum optimizer as the network
-    weights. When ``labels`` is given, ACC and ARI are recorded at every
+    data. Each encoder layer and the centroids have their own SGD-momentum
+    optimizer. A step checks the clean loss and, for rdec, the VAT loss
+    before the clean backward steps each layer, its gamma-scaled VAT
+    gradients added, as soon as its gradients exist; the centroids step
+    last. When ``labels`` is given, ACC and ARI are recorded at every
     target refresh. A non-finite batch loss raises FloatingPointError
     naming the iteration and the term. The encoder is mutated in place.
     """
@@ -316,8 +345,9 @@ def finetune(
     km = _kmeans(z, k, cfg)
     centroids = km.centroids.copy()
     model = ClusterModel(encoder, centroids, cfg.alpha)
-    params = model.parameters()
-    optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
+    # One optimizer per encoder layer, then one for the centroids.
+    optimizers = [SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
+                  for _ in range(len(encoder.layers) + 1)]
     use_vat = cfg.method == "rdec" and cfg.gamma > 0.0
 
     batch_iter = _endless_batches(n, cfg.batch_size,
@@ -351,21 +381,23 @@ def finetune(
         idx = next(batch_iter)
         x_b = data[idx]
         # The clean prediction q_b is also the VAT reference.
-        clustering, q_b, grads = model._kl_forward_backward(x_b, target_full[idx], True)
+        clustering, q_b, caches, grad_z, grad_centroids = model._kl_forward(
+            x_b, target_full[idx], True)
         check_finite(f"clustering loss at iteration {it}", clustering)
 
-        consistency = 0.0
+        consistency, vat_grads = 0.0, None
         if use_vat:
             vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
             r_adv = adversarial_perturbation(model, x_b, q_b, cfg.epsilon, cfg.xi,
                                              cfg.ip, vat_rng)
             consistency, vat_grads = vat_loss(model, x_b, r_adv, q_ref=q_b)
             check_finite(f"VAT loss at iteration {it}", consistency)
-            for g, vg in zip(grads, vat_grads):
+            for vg in vat_grads:
                 vg *= cfg.gamma
-                g += vg
+            grad_centroids += vat_grads.pop()
 
-        optimizer.step(params, grads)
+        _stepped_backward(encoder, optimizers, caches, grad_z, added=vat_grads)
+        optimizers[-1].step([centroids], [grad_centroids])
         iterations.append(
             IterationRecord(it, clustering, consistency,
                             clustering + cfg.gamma * consistency)

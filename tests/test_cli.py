@@ -376,6 +376,27 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("method, rows, assignments", [
+        ("kmeans", 120, []),
+        ("dec", 120, []),
+        ("rdec", 60, ["data.classes=1"]),
+    ], ids=["kmeans", "dec", "rdec-one-class"])
+    def test_k_beyond_the_rows_exits_2(self, tmp_path, idx_fixture, pretrained, capsys,
+                                       monkeypatch, method, rows, assignments):
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("clustering ran")
+
+        monkeypatch.setattr(cli, "run_clustering", no_clustering)
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                "--set", f"method={method}", "--set", f"k={rows + 1}"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: k={rows + 1} exceeds the {rows} rows the data supplies\n")
+        assert not (tmp_path / "r").exists()
+
     def test_a_diverging_run_still_exits_1(self, tmp_path, idx_fixture, capsys,
                                            monkeypatch):
         # InfiniteDivergenceError is a ValueError, but not a bad input

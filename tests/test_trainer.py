@@ -26,6 +26,7 @@ from rdec.trainer import (
     pretrain,
     run_clustering,
 )
+from rdec.vat import adversarial_perturbation, vat_loss
 
 from conftest import step_grads, two_gaussians
 
@@ -53,6 +54,40 @@ def fast_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def list_step_replay(start, centroids, data, cfg):
+    """Replay ``cfg.max_iter`` first-epoch fine-tuning batches from copies of
+    ``start`` and ``centroids``, one list ``SgdMomentum`` step a batch.
+
+    Each step takes the clean gradients from ``kl_param_grads``; for rdec it
+    adds the VAT gradients, scaled by gamma in place. Returns the model and
+    the checkpoint loss of the target, computed through ``predict``.
+    """
+    model = ClusterModel(copy.deepcopy(start), centroids.copy(), cfg.alpha)
+    n = len(data)
+    q = model.predict(data)
+    target = target_distribution(q, cfg.s)
+    params = model.parameters()
+    optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
+    # every batch comes from the first epoch
+    assert cfg.max_iter * cfg.batch_size <= n
+    perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
+    for it in range(cfg.max_iter):
+        idx = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
+        x = data[idx]
+        _, grads = model.kl_param_grads(x, target[idx])
+        if cfg.method == "rdec" and cfg.gamma > 0.0:
+            q_b = model.predict(x)
+            vat_rng = np.random.default_rng([cfg.seed, trainer._STREAM_VAT, it])
+            r_adv = adversarial_perturbation(model, x, q_b, cfg.epsilon, cfg.xi, cfg.ip,
+                                             vat_rng)
+            _, vat_grads = vat_loss(model, x, r_adv, q_ref=q_b)
+            for g, vg in zip(grads, vat_grads, strict=True):
+                vg *= cfg.gamma
+                g += vg
+        optimizer.step(params, grads)
+    return model, kl_divergence(target, q) / n
 
 
 class TestLabelChangeRate:
@@ -395,20 +430,53 @@ class TestFinetune:
 
         # Replay the run with the first target computed through
         # ClusterModel.predict on a fresh copy of the starting encoder.
-        model = ClusterModel(copy.deepcopy(start), runs[0].centroids.copy(), cfg.alpha)
-        q = model.predict(data)
-        target = target_distribution(q, cfg.s)
-        assert report.checkpoints[0].loss == kl_divergence(target, q) / n
-        params = model.parameters()
-        optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
-        # max_iter * batch_size <= n: every batch comes from the first epoch
-        perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
-        for it in range(cfg.max_iter):
-            idx = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            _, grads = model.kl_param_grads(data[idx], target[idx])
-            optimizer.step(params, grads)
+        model, checkpoint_loss = list_step_replay(start, runs[0].centroids, data, cfg)
+        assert report.checkpoints[0].loss == checkpoint_loss
         np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
         np.testing.assert_array_equal(report.final_centroids, model.centroids)
+
+    def test_rdec_per_layer_steps_equal_one_list_step(self, monkeypatch):
+        # Each layer steps in backward's hand-off with its VAT gradients
+        # added; one list step after the gamma-scaled combine gives the
+        # same bits.
+        data, _ = two_gaussians(n=120, seed=11)
+        cfg = fast_config(method="rdec", gamma=2.0, max_iter=8, tau=50, batch_size=12,
+                          seed=13)
+        start = small_encoder(8)
+        runs = []
+        real_kmeans = trainer.kmeans
+
+        def recording_kmeans(*args, **kwargs):
+            runs.append(real_kmeans(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(trainer, "kmeans", recording_kmeans)
+        encoder = copy.deepcopy(start)
+        assignments, report = finetune(encoder, data, 2, cfg)
+        model, checkpoint_loss = list_step_replay(start, runs[0].centroids, data, cfg)
+        assert report.checkpoints[0].loss == checkpoint_loss
+        for got, want in zip(encoder.parameters(), model.encoder.parameters(), strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(report.final_centroids, model.centroids)
+        np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
+
+    def test_a_fine_tune_step_holds_one_gradient_list(self):
+        # Five rdec steps of the canonical stack at latent 2 on 1650 rows of
+        # 784: holding the clean gradient list while the gamma-scaled VAT
+        # list is made peaked at 61.9 MiB above the start. Stepping each
+        # layer as the clean backward reaches it, with its VAT gradients
+        # added, peaks at 46.7 MiB.
+        encoder, _ = build_network(784, 2, seed=0)
+        data = np.random.default_rng(0).random((1650, 784))
+        cfg = fast_config(method="rdec", gamma=5.0, max_iter=5, batch_size=256,
+                          kmeans_restarts=1)
+        tracemalloc.start()
+        try:
+            finetune(encoder, data, 2, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 54 * 2**20
 
     def test_bad_alpha_fails_before_kmeans(self, monkeypatch):
         data, _ = two_gaussians(n=40, seed=1)
@@ -442,6 +510,30 @@ class TestFinetune:
         cfg = fast_config(method="rdec", gamma=5.0)
         with pytest.raises(FloatingPointError, match="VAT loss at iteration 3 "):
             finetune(small_encoder(1), data, 2, cfg)
+
+    def test_a_non_finite_vat_loss_moves_no_parameter(self, monkeypatch):
+        data, _ = two_gaussians(n=200, seed=0)
+        real = trainer.vat_loss
+        models = []
+
+        def nan_at_iteration_3(model, x, r_adv, q_ref):
+            loss, grads = real(model, x, r_adv, q_ref)
+            models.append(model)
+            return (np.nan if len(models) == 4 else loss), grads
+
+        monkeypatch.setattr(trainer, "vat_loss", nan_at_iteration_3)
+        cfg = fast_config(method="rdec", gamma=5.0)
+        encoder = small_encoder(1)
+        with pytest.raises(FloatingPointError, match="VAT loss at iteration 3 "):
+            finetune(encoder, data, 2, cfg)
+        monkeypatch.undo()
+        # The clean backward of iteration 3 never ran: the model is the one
+        # three iterations leave.
+        three = small_encoder(1)
+        _, report = finetune(three, data, 2, replace(cfg, max_iter=3))
+        for got, want in zip(encoder.parameters(), three.parameters(), strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(models[-1].centroids, report.final_centroids)
 
     @pytest.mark.parametrize("method, gamma", [("dec", 0.0), ("rdec", 0.0), ("rdec", 2.0)])
     def test_read_only_data(self, method, gamma):
