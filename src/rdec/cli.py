@@ -246,7 +246,8 @@ def _existing_paths(cfg: ExperimentConfig, source: DataSource, *,
 def _select_rows(cfg: ExperimentConfig, source: DataSource) -> tuple[Dataset, Dataset]:
     """The loaded rows of the configured classes, if any, and of those the
     rows the subsample keeps, if one is configured; neither is scaled yet.
-    A class or a count that the data cannot supply is a ``ConfigError``."""
+    A class or a count that the data cannot supply, or no row kept, is a
+    ``ConfigError``."""
     ds = source.load()
     classes = cfg.get("data.classes")
     try:
@@ -255,6 +256,8 @@ def _select_rows(cfg: ExperimentConfig, source: DataSource) -> tuple[Dataset, Da
         kept = ds if cfg.subsample is None else subsample(ds, cfg.subsample)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kept.n == 0:
+        raise ConfigError("the data supplies no rows")
     return ds, kept
 
 

@@ -128,6 +128,8 @@ def read_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         )
     # the row width is spelled out: reshape cannot infer a -1 for zero rows
     rows = pixels.reshape(pixels.shape[0], math.prod(pixels.shape[1:]))
+    if rows.shape[1] == 0:
+        raise IdxFormatError(f"{images_path}: images have no pixels, header {list(pixels.shape)}")
     return Dataset(features=rows, labels=labels, name=name)
 
 
@@ -202,6 +204,8 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
             if label_column not in header:
                 raise DataFormatError(f"{path}: no column named {label_column!r} in header")
             label_idx = header.index(label_column)
+        if len(header) == (0 if label_idx is None else 1):
+            raise DataFormatError(f"{path}: no feature columns in header")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):

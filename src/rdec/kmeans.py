@@ -87,6 +87,8 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if points.ndim != 2 or points.shape[0] < k:
         raise ValueError(f"need at least {k} points, got shape {points.shape}")
+    if points.shape[1] == 0:
+        raise ValueError(f"points have no columns, got shape {points.shape}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     nonfinite = points.size - np.count_nonzero(np.isfinite(points))

@@ -152,34 +152,30 @@ class ClusterModel:
         z = encode(self.encoder, x)
         return soft_assign(z, self.centroids, self.alpha)
 
-    def _kl_forward(self, x: Matrix, q_ref: Matrix, need_loss: bool):
+    def _kl_forward(self, x: Matrix, q_ref: Matrix):
         """Forward half of mean-row KL(q_ref || predict(x)): one forward and
         one distance pass.
 
-        Returns (loss, q, caches, grad_z, grad_centroids): the KL, or None
-        without need_loss; the prediction on x; the encoder caches backward
-        reads; and the mean-row gradients at the embedding and the centroids.
+        Returns (q, caches, grad_z, grad_centroids): the prediction on x, the
+        encoder caches backward reads, and the mean-row gradients at the
+        embedding and the centroids.
         """
         n = x.shape[0]
         z, caches = forward(self.encoder, x)
         q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
         grad_z /= n
         grad_centroids /= n
-        loss = kl_divergence(q_ref, q) / n if need_loss else None
-        return loss, q, caches, grad_z, grad_centroids
+        return q, caches, grad_z, grad_centroids
 
-    def _kl_forward_backward(self, x: Matrix, q_ref: Matrix, need_params: bool):
-        """Mean-row KL(q_ref || predict(x)) from ``_kl_forward`` and one backward.
+    def kl_input_grad(self, x: Matrix, q_ref: Matrix) -> Matrix:
+        """d/dx of mean-row KL(q_ref || predict(x)), q_ref constant."""
+        _, caches, grad_z, _ = self._kl_forward(x, q_ref)
+        return backward(self.encoder, caches, grad_z)
 
-        Returns (loss, q, grad), q being the prediction on x. With
-        need_params, loss is the KL and grad lists the gradients aligned
-        with ``parameters()``, collected layer by layer from backward's
-        hand-off, the centroid gradient last. Without, loss is None and
-        grad is the input gradient from backward's probe.
-        """
-        loss, q, caches, grad_z, grad_centroids = self._kl_forward(x, q_ref, need_params)
-        if not need_params:
-            return None, q, backward(self.encoder, caches, grad_z)
+    def kl_param_grads(self, x: Matrix, q_ref: Matrix):
+        """Mean-row KL(q_ref || predict(x)) and its gradients aligned with
+        ``parameters()``, collected from backward's hand-off, centroids last."""
+        q, caches, grad_z, grad_centroids = self._kl_forward(x, q_ref)
         grads = [None] * (2 * len(self.encoder.layers))
 
         def keep(i: int, grad_weight: Matrix, grad_bias: np.ndarray) -> None:
@@ -187,16 +183,7 @@ class ClusterModel:
 
         backward(self.encoder, caches, grad_z, step=keep)
         grads.append(grad_centroids)
-        return loss, q, grads
-
-    def kl_input_grad(self, x: Matrix, q_ref: Matrix) -> Matrix:
-        """d/dx of mean-row KL(q_ref || predict(x)), q_ref constant."""
-        return self._kl_forward_backward(x, q_ref, False)[2]
-
-    def kl_param_grads(self, x: Matrix, q_ref: Matrix):
-        """Mean-row KL(q_ref || predict(x)) and gradients per parameter."""
-        loss, _, grads = self._kl_forward_backward(x, q_ref, True)
-        return loss, grads
+        return kl_divergence(q_ref, q) / x.shape[0], grads
 
 
 def label_change_rate(prev_assignments, new_assignments) -> float:
@@ -379,10 +366,10 @@ def finetune(
             prev_assign = assignments
 
         idx = next(batch_iter)
-        x_b = data[idx]
+        x_b, target_b = data[idx], target_full[idx]
         # The clean prediction q_b is also the VAT reference.
-        clustering, q_b, caches, grad_z, grad_centroids = model._kl_forward(
-            x_b, target_full[idx], True)
+        q_b, caches, grad_z, grad_centroids = model._kl_forward(x_b, target_b)
+        clustering = kl_divergence(target_b, q_b) / len(idx)
         check_finite(f"clustering loss at iteration {it}", clustering)
 
         consistency, vat_grads = 0.0, None

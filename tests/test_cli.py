@@ -321,6 +321,34 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
+    @pytest.mark.parametrize("case", ["csv-label-only", "idx-no-pixels", "idx-no-rows"])
+    def test_data_without_features_or_rows_exits_2(self, tmp_path, capsys, command, case):
+        if case == "csv-label-only":
+            path = tmp_path / "in.csv"
+            path.write_text("label\n0\n1\n0\n1\n")
+            cfg = tmp_path / "csv.cfg"
+            cfg.write_text(f"data.format = csv\ndata.path = {path}\n"
+                           "data.label_column = label\nk = 2\n")
+            message = f"{path}: no feature columns in header"
+        else:
+            images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+            if case == "idx-no-pixels":  # four 0x0 images
+                images.write_bytes(struct.pack(">iiii", 0x803, 4, 0, 0))
+                labels.write_bytes(struct.pack(">ii", 0x801, 4) + bytes(4))
+                message = f"{images}: images have no pixels, header [4, 0, 0]"
+            else:
+                save_idx(Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.int64)), images,
+                         labels)
+                message = "the data supplies no rows"
+            cfg = write_config(tmp_path, (images, labels))
+        if command == "subsample":
+            cfg.write_text(cfg.read_text() + "subsample.mode = interpolated\n")
+        assert main([command, "--config", str(cfg), "--set", "method=kmeans",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("case", ["bad-magic", "network-count", "truncated",
                                       "unknown-activation", "oversized-layer", "no-layers",
                                       "encoder-chain", "decoder-chain",

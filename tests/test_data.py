@@ -7,6 +7,7 @@ import pytest
 
 from rdec import data
 from rdec.data import (
+    DataFormatError,
     Dataset,
     IdxFormatError,
     SubsampleSpec,
@@ -128,6 +129,12 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match=r"negative image dimension .* \[-1, -1, 4\]"):
             load_idx(img, lab)
 
+    def test_zero_pixel_images_are_a_format_error(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 0, 4), dtype=np.uint8), [0, 1])
+        with pytest.raises(IdxFormatError) as info:
+            load_idx(img, lab)
+        assert str(info.value) == f"{img}: images have no pixels, header [2, 0, 4]"
+
     def test_zero_count_files_load(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 3), dtype=np.uint8), [])
         ds = load_idx(img, lab)
@@ -237,6 +244,15 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="no column named 'label'"):
             load_csv(path, label_column="label")
+
+    @pytest.mark.parametrize("text, label_column", [("label\n0\n1\n", "label"),
+                                                    ("\n\n", None)])
+    def test_no_feature_column(self, tmp_path, text, label_column):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == f"{path}: no feature columns in header"
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -76,6 +76,8 @@ def test_errors():
         kmeans(points, k=4)
     with pytest.raises(ValueError):
         kmeans(points, k=2, restarts=0)
+    with pytest.raises(ValueError, match=r"points have no columns, got shape \(3, 0\)"):
+        kmeans(np.zeros((3, 0)), k=2)
 
 
 def test_inertia_history_non_increasing(rng):

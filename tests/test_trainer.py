@@ -61,8 +61,9 @@ def list_step_replay(start, centroids, data, cfg):
     ``start`` and ``centroids``, one list ``SgdMomentum`` step a batch.
 
     Each step takes the clean gradients from ``kl_param_grads``; for rdec it
-    adds the VAT gradients, scaled by gamma in place. Returns the model and
-    the checkpoint loss of the target, computed through ``predict``.
+    adds the VAT gradients, scaled by gamma in place. Returns the model, the
+    checkpoint loss of the target, computed through ``predict``, and each
+    batch's (clean loss, VAT loss), from ``kl_param_grads`` and ``vat_loss``.
     """
     model = ClusterModel(copy.deepcopy(start), centroids.copy(), cfg.alpha)
     n = len(data)
@@ -73,21 +74,30 @@ def list_step_replay(start, centroids, data, cfg):
     # every batch comes from the first epoch
     assert cfg.max_iter * cfg.batch_size <= n
     perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
+    losses = []
     for it in range(cfg.max_iter):
         idx = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
         x = data[idx]
-        _, grads = model.kl_param_grads(x, target[idx])
+        clustering, grads = model.kl_param_grads(x, target[idx])
+        consistency = 0.0
         if cfg.method == "rdec" and cfg.gamma > 0.0:
             q_b = model.predict(x)
             vat_rng = np.random.default_rng([cfg.seed, trainer._STREAM_VAT, it])
             r_adv = adversarial_perturbation(model, x, q_b, cfg.epsilon, cfg.xi, cfg.ip,
                                              vat_rng)
-            _, vat_grads = vat_loss(model, x, r_adv, q_ref=q_b)
+            consistency, vat_grads = vat_loss(model, x, r_adv, q_ref=q_b)
             for g, vg in zip(grads, vat_grads, strict=True):
                 vg *= cfg.gamma
                 g += vg
         optimizer.step(params, grads)
-    return model, kl_divergence(target, q) / n
+        losses.append((clustering, consistency))
+    return model, kl_divergence(target, q) / n, losses
+
+
+def assert_iteration_losses(report, losses, gamma):
+    """The report's per-iteration losses carry the replay's bits."""
+    assert [(r.clustering_loss, r.vat_loss) for r in report.iterations] == losses
+    assert [r.total_loss for r in report.iterations] == [c + gamma * v for c, v in losses]
 
 
 class TestLabelChangeRate:
@@ -430,8 +440,10 @@ class TestFinetune:
 
         # Replay the run with the first target computed through
         # ClusterModel.predict on a fresh copy of the starting encoder.
-        model, checkpoint_loss = list_step_replay(start, runs[0].centroids, data, cfg)
+        model, checkpoint_loss, losses = list_step_replay(start, runs[0].centroids, data,
+                                                          cfg)
         assert report.checkpoints[0].loss == checkpoint_loss
+        assert_iteration_losses(report, losses, cfg.gamma)
         np.testing.assert_array_equal(assignments, model.predict(data).argmax(axis=1))
         np.testing.assert_array_equal(report.final_centroids, model.centroids)
 
@@ -453,8 +465,10 @@ class TestFinetune:
         monkeypatch.setattr(trainer, "kmeans", recording_kmeans)
         encoder = copy.deepcopy(start)
         assignments, report = finetune(encoder, data, 2, cfg)
-        model, checkpoint_loss = list_step_replay(start, runs[0].centroids, data, cfg)
+        model, checkpoint_loss, losses = list_step_replay(start, runs[0].centroids, data,
+                                                          cfg)
         assert report.checkpoints[0].loss == checkpoint_loss
+        assert_iteration_losses(report, losses, cfg.gamma)
         for got, want in zip(encoder.parameters(), model.encoder.parameters(), strict=True):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(report.final_centroids, model.centroids)
@@ -607,12 +621,15 @@ class TestOneDistancePassPerKl:
         assert len(calls) == steps * per_step + 1
         assert calls.count(len(data)) == 1
 
-    def test_input_gradient_probe_computes_no_loss(self, rng):
+    def test_input_gradient_probe_computes_no_loss(self, rng, monkeypatch):
+        def forbidden(p, q):
+            raise AssertionError("the input-gradient probe computed a loss")
+
         model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
         x = rng.standard_normal((6, 3))
-        loss, q, grad_x = model._kl_forward_backward(x, model.predict(x[::-1]), False)
-        assert loss is None
-        assert q.shape == (6, 3) and grad_x.shape == x.shape
+        monkeypatch.setattr(trainer, "kl_divergence", forbidden)
+        grad_x = model.kl_input_grad(x, model.predict(x[::-1]))
+        assert grad_x.shape == x.shape
 
     def test_dec_step_bypasses_the_vat_entry_points(self, monkeypatch):
         def forbidden(self, x, q_ref):
@@ -629,16 +646,15 @@ class TestOneDistancePassPerKl:
         model = ClusterModel(small_encoder(2, in_dim=3), rng.standard_normal((3, 2)))
         x = rng.standard_normal((6, 3))
         q_ref = model.predict(rng.standard_normal((6, 3)))
-        loss, q, grads = model._kl_forward_backward(x, q_ref, True)
+        q, caches, grad_z, grad_centroids = model._kl_forward(x, q_ref)
         np.testing.assert_array_equal(q, model.predict(x))
+        np.testing.assert_array_equal(backward(model.encoder, caches, grad_z),
+                                      model.kl_input_grad(x, q_ref))
+        want = [*step_grads(model.encoder, caches, grad_z), grad_centroids]
+        loss, grads = model.kl_param_grads(x, q_ref)
         assert loss == kl_divergence(q_ref, q) / len(x)
         assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
-        _, probe_q, grad_x = model._kl_forward_backward(x, q_ref, False)
-        np.testing.assert_array_equal(probe_q, q)
-        np.testing.assert_array_equal(grad_x, model.kl_input_grad(x, q_ref))
-        view_loss, view_grads = model.kl_param_grads(x, q_ref)
-        assert view_loss == loss
-        for a, b in zip(grads, view_grads, strict=True):
+        for a, b in zip(grads, want, strict=True):
             np.testing.assert_array_equal(a, b)
 
 
