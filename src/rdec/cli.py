@@ -14,7 +14,8 @@ run directories, ``eval --out``'s included, are never overwritten; a
 timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure or a
-malformed input file (data, label or model).
+malformed input file (data, label or model; a header claiming more bytes
+than the file holds is truncated). ``eval`` needs two values.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
 deterministic for a fixed thread count). The ``rdec`` package applies it on
 its first import, before numpy loads, for this CLI and library scripts alike.
@@ -46,6 +47,7 @@ from .data import (
     concat,
     filter_classes,
     load_csv,
+    parse_int64,
     read_idx,
     save_csv,
     save_idx,
@@ -187,14 +189,12 @@ def load_config(path, assignments=()) -> ExperimentConfig:
 class DataSource(NamedTuple):
     """Input files, their loader, and the writer of a variant in the same format.
 
-    ``load`` may return rows in their stored form, IDX pixels as bytes, so
-    that rows are selected by label before ``scale`` makes the one float64
-    copy of the rows kept.
+    ``load`` returns IDX pixels as bytes: rows are selected by label before
+    ``load_dataset`` scales the ones kept, and ``subsample`` writes those as read.
     """
 
     files: list[Path]
     load: Callable[[], Dataset]
-    scale: Callable[[Dataset], Dataset]
     outputs: dict[str, str]  # manifest key -> run-directory file name
     save: Callable[..., None]  # save(dataset, *paths), one path per output
 
@@ -214,7 +214,6 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
             files=[Path(p) for p in images + labels],
             load=lambda: reduce(concat, (read_idx(img, lab, name=name)
                                          for img, lab in zip(images, labels))),
-            scale=scale_pixels,
             outputs={"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"},
             save=save_idx,
         )
@@ -224,7 +223,6 @@ def _data_source(cfg: ExperimentConfig) -> DataSource:
         return DataSource(
             files=[Path(path)],
             load=lambda: load_csv(path, label_column, name=name),
-            scale=lambda ds: ds,
             outputs={"csv": "data.csv"},
             save=partial(save_csv, label_column=label_column),
         )
@@ -263,8 +261,9 @@ def _select_rows(cfg: ExperimentConfig, source: DataSource) -> tuple[Dataset, Da
 
 def load_dataset(cfg: ExperimentConfig, source: DataSource) -> Dataset:
     """Load, optionally class-filter, and optionally subsample the dataset,
-    then scale the rows kept."""
-    return source.scale(_select_rows(cfg, source)[1])
+    then scale the rows kept if they are still uint8 pixels."""
+    ds = _select_rows(cfg, source)[1]
+    return scale_pixels(ds) if ds.features.dtype == np.uint8 else ds
 
 
 def _sha256(path: Path) -> str:
@@ -460,7 +459,7 @@ def cmd_train(args) -> int:
 
 
 def _read_label_file(path) -> np.ndarray:
-    """One int64 integer per non-blank line, after an optional non-numeric header."""
+    """One exact int64 integer per non-blank line, after an optional non-numeric header."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -468,15 +467,14 @@ def _read_label_file(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                value = float(text)
+                value = parse_int64(text)
             except ValueError:
                 if lineno == 1:  # header row
                     continue
                 value = None
-            # is_integer is False for NaN and the infinities
-            if value is None or not (value.is_integer() and -2**63 <= value < 2**63):
+            if value is None:
                 raise DataFormatError(f"{path}:{lineno}: {text!r} is not an int64 integer")
-            values.append(int(value))
+            values.append(value)
     return np.array(values, dtype=np.int64)
 
 
@@ -489,6 +487,9 @@ def cmd_eval(args) -> int:
         )
     if len(labels) == 0:
         raise ConfigError(f"no values in {args.assignments} or {args.labels}")
+    if len(labels) == 1:
+        raise ConfigError(f"one value in {args.assignments} and {args.labels}; "
+                          "the metrics need at least two")
     final = _final_metrics(labels, assignments)
     print(f"acc: {final['acc']:.6f}")
     print(f"ari: {final['ari']:.6f}")
@@ -511,21 +512,19 @@ def cmd_subsample(args) -> int:
     input_paths = _existing_paths(cfg, source, need_model=False)
 
     full, kept = _select_rows(cfg, source)
-    reduced = source.scale(kept)
-
     with _publish(args, cfg, "runs/subsample") as (stage, out):
-        source.save(reduced, *(stage / name for name in source.outputs.values()))
+        source.save(kept, *(stage / name for name in source.outputs.values()))
         _write_manifest(
             stage, cfg, "subsample", input_paths,
             extra={
                 "subsample": vars(cfg.subsample),
                 "class_counts_before": full.class_counts,
-                "class_counts_after": reduced.class_counts,
+                "class_counts_after": kept.class_counts,
                 "output_files": {key: str(out / name)
                                  for key, name in source.outputs.items()},
             },
         )
-    print(f"subsampled {full.n} -> {reduced.n} rows; outputs in {out}")
+    print(f"subsampled {full.n} -> {kept.n} rows; outputs in {out}")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Dataset ingestion (IDX image files, labeled CSV) and imbalanced subsampling.
 
-IDX reads are big-endian and magic-checked. Readers gunzip transparently
-when the file starts with the gzip signature. Pixels are scaled to [0, 1]
-by dividing by 255; that normalization is the contract the reconstruction
-loss and the shipped defaults assume. ``read_idx`` leaves them as bytes, so
-rows can be selected by label before the one float64 copy of the kept rows
-is made. Every CSV file rdec writes goes through ``write_csv``, with ``\\n``
-line ends. A malformed input file raises ``DataFormatError``.
+IDX reads are big-endian and magic-checked, gunzipped when the file starts
+with the gzip signature; ``read_exact`` reads them and model files, so no
+header sizes a buffer. Pixels are scaled to [0, 1] by dividing by 255, the
+contract of the reconstruction loss and the shipped defaults; ``read_idx``
+keeps bytes, so rows are selected by label before the one float64 copy of
+the kept rows, and ``save_idx`` writes bytes back as read. ``parse_int64``
+reads labels exactly. Every CSV file rdec writes goes through ``write_csv``
+(``\\n`` line ends). A malformed input file raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -28,10 +30,6 @@ SUBSAMPLE_MODES = ("single_class", "explicit_counts", "interpolated")
 
 class DataFormatError(ValueError):
     """Malformed input data file."""
-
-
-class IdxFormatError(DataFormatError):
-    """Malformed IDX file."""
 
 
 @dataclass
@@ -89,10 +87,35 @@ def _open_maybe_gzip(path, mode="rb", **text_options):
     return open(path, mode, **text_options)
 
 
+READ_CHUNK = 1 << 24  # bytes per read in read_exact
+
+
+def read_exact(fh, size: int, what: str) -> bytes:
+    """The next ``size`` bytes of binary file ``fh``, read ``READ_CHUNK`` at a
+    time, so a size its header claims never sizes a buffer; short, it raises."""
+    chunks, got = [], 0
+    while got < size:
+        chunk = fh.read(min(READ_CHUNK, size - got))
+        if not chunk:
+            raise DataFormatError(f"{fh.name}: truncated {what}, wanted {size} bytes, got {got}")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
+def parse_int64(text: str) -> int | None:
+    """The int64 integer ``text`` spells, read exactly as a ``Decimal`` (``7``,
+    ``3.0``, ``1e3``), never a float64; else None. A non-number raises ValueError."""
+    float(text)  # raises ValueError on text that is not a number; the value is unused
+    number = Decimal(text)
+    exact = number.is_finite() and number == number.to_integral_value()
+    return int(number) if exact and -2**63 <= number < 2**63 else None
+
+
 def _read_be32(fh, path, what: str) -> int:
     data = fh.read(4)
     if len(data) != 4:
-        raise IdxFormatError(f"{path}: truncated while reading {what}")
+        raise DataFormatError(f"{path}: truncated while reading {what}")
     return struct.unpack(">i", data)[0]
 
 
@@ -102,17 +125,12 @@ def _read_idx(path, magic: int, what: str) -> np.ndarray:
     with _open_maybe_gzip(path) as fh:
         found = _read_be32(fh, path, "magic")
         if found != magic:
-            raise IdxFormatError(
-                f"{path}: bad {what} magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
-            )
+            raise DataFormatError(f"{path}: bad {what} magic 0x{found:08x} at offset 0, "
+                                  f"expected 0x{magic:08x}")
         shape = [_read_be32(fh, path, f"{what} dimension {i}") for i in range(magic & 0xFF)]
         if min(shape) < 0:
-            raise IdxFormatError(f"{path}: negative {what} dimension in header {shape}")
-        size = math.prod(shape)
-        raw = fh.read(size)
-    if len(raw) != size:
-        raise IdxFormatError(f"{path}: truncated {what} data, wanted {size} bytes, "
-                             f"got {len(raw)}")
+            raise DataFormatError(f"{path}: negative {what} dimension in header {shape}")
+        raw = read_exact(fh, math.prod(shape), f"{what} data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
@@ -122,14 +140,12 @@ def read_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     pixels = _read_idx(images_path, IMAGES_MAGIC, "image")
     labels = _read_idx(labels_path, LABELS_MAGIC, "label").astype(np.int64)
     if pixels.shape[0] != labels.shape[0]:
-        raise IdxFormatError(
-            f"count mismatch: {pixels.shape[0]} images ({images_path}) vs "
-            f"{labels.shape[0]} labels ({labels_path})"
-        )
+        raise DataFormatError(f"count mismatch: {pixels.shape[0]} images ({images_path}) vs "
+                              f"{labels.shape[0]} labels ({labels_path})")
     # the row width is spelled out: reshape cannot infer a -1 for zero rows
     rows = pixels.reshape(pixels.shape[0], math.prod(pixels.shape[1:]))
     if rows.shape[1] == 0:
-        raise IdxFormatError(f"{images_path}: images have no pixels, header {list(pixels.shape)}")
+        raise DataFormatError(f"{images_path}: images have no pixels, header {list(pixels.shape)}")
     return Dataset(features=rows, labels=labels, name=name)
 
 
@@ -149,9 +165,10 @@ SAVE_CHUNK = 1024
 
 
 def _to_bytes(features: np.ndarray) -> bytes:
-    """Row-major pixel bytes: scaled by 255, rounded half to even, clipped to
-    0..255. The float64 temporary is rounded and clipped in place and freed
-    on return."""
+    """Row-major pixel bytes: uint8 as is, floats scaled by 255, rounded half
+    to even and clipped to 0..255 in one float64 temporary, freed on return."""
+    if features.dtype == np.uint8:
+        return features.tobytes()
     pixels = features * 255.0
     np.round(pixels, out=pixels)
     np.clip(pixels, 0, 255, out=pixels)
@@ -159,15 +176,13 @@ def _to_bytes(features: np.ndarray) -> bytes:
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Write a dataset back to an IDX pair, rescaling features to bytes.
-
-    Exact round-trip for IDX-loaded data (values k/255). Each row must
-    form a square image. Features must be floats in [0, 1] scale; values
-    outside it are clipped.
+    """Write a dataset back to an IDX pair: square-image rows of uint8 pixels
+    as they are, or floats in [0, 1] scale rescaled to bytes (values outside
+    are clipped). IDX-read rows round-trip exactly, as bytes or as k/255.
     """
     if ds.labels is None:
         raise ValueError("save_idx needs labels")
-    if not np.issubdtype(ds.features.dtype, np.floating):
+    if ds.features.dtype != np.uint8 and not np.issubdtype(ds.features.dtype, np.floating):
         raise ValueError(f"save_idx needs features scaled to [0, 1], got "
                          f"{ds.features.dtype} values; scale_pixels scales read_idx rows")
     bad = np.flatnonzero((ds.labels < 0) | (ds.labels > 255))
@@ -190,7 +205,8 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     """Load a rectangular numeric CSV with a header row.
 
     When label_column is given, that column becomes the integer labels (each
-    an integral value in int64 range) and the remaining columns the features.
+    an int64 integer, parsed exactly by ``parse_int64``) and the remaining
+    columns the features.
     A malformed file raises DataFormatError.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
@@ -231,15 +247,13 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
         raise
     if label_idx is None:
         return Dataset(features=values, labels=None, name=name)
-    labels = values[:, label_idx]
-    # NaN fails the first test, infinities the range test
-    bad = np.flatnonzero(~((labels == np.trunc(labels)) & (labels >= -2.0**63)
-                           & (labels < 2.0**63)))
-    if bad.size:
-        raise DataFormatError(f"{path}:{bad[0] + 2}: label {rows[bad[0]][label_idx]!r} "
+    labels = [parse_int64(row[label_idx]) for row in rows]
+    if None in labels:
+        bad = labels.index(None)
+        raise DataFormatError(f"{path}:{bad + 2}: label {rows[bad][label_idx]!r} "
                               f"in column {label_column!r} is not an int64 integer")
     features = np.delete(values, label_idx, axis=1)
-    return Dataset(features=features, labels=labels.astype(np.int64), name=name)
+    return Dataset(features=features, labels=np.array(labels, dtype=np.int64), name=name)
 
 
 def _csv_cell(value) -> str:

@@ -8,14 +8,13 @@ linear embedding/output layers.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .data import DataFormatError
+from .data import DataFormatError, read_exact
 from .tensor import (
     Matrix,
     ShapeMismatchError,
@@ -262,23 +261,14 @@ def _write_network(fh, net: Network) -> None:
         fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, size: int) -> bytes:
-    # Read no more than the file holds: a corrupt header must not size a buffer.
-    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-    if len(data) != size:
-        raise DataFormatError(f"{fh.name}: truncated model file, wanted {size} bytes, "
-                              f"got {len(data)}")
-    return data
-
-
 def _read_network(fh, name: str) -> Network:
     """Read one network; its layers must chain, each fan-in the previous fan-out."""
-    (n_layers,) = struct.unpack("<I", _read_exact(fh, 4))
+    (n_layers,) = struct.unpack("<I", read_exact(fh, 4, "model file"))
     if n_layers == 0:
         raise DataFormatError(f"{fh.name}: {name} has no layers")
     shapes = []
     for i in range(1, n_layers + 1):
-        fan_in, fan_out, code = struct.unpack("<IIB", _read_exact(fh, 9))
+        fan_in, fan_out, code = struct.unpack("<IIB", read_exact(fh, 9, "model file"))
         if code not in _ACTIVATION_NAMES:
             raise DataFormatError(f"{fh.name}: unknown activation code {code}")
         if shapes and fan_in != shapes[-1][1]:
@@ -287,8 +277,8 @@ def _read_network(fh, name: str) -> Network:
         shapes.append((fan_in, fan_out, _ACTIVATION_NAMES[code]))
     layers = []
     for fan_in, fan_out, activation in shapes:
-        weight = np.frombuffer(_read_exact(fh, 8 * fan_in * fan_out), dtype="<f8")
-        bias = np.frombuffer(_read_exact(fh, 8 * fan_out), dtype="<f8")
+        weight = np.frombuffer(read_exact(fh, 8 * fan_in * fan_out, "model file"), dtype="<f8")
+        bias = np.frombuffer(read_exact(fh, 8 * fan_out, "model file"), dtype="<f8")
         layers.append(
             Layer(
                 weight=weight.reshape(fan_in, fan_out).copy(),
@@ -315,7 +305,7 @@ def load_model(path) -> tuple[Network, Network]:
         if magic != MODEL_MAGIC:
             raise DataFormatError(f"{path}: bad model magic {magic!r}, "
                                   f"expected {MODEL_MAGIC!r}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "model file"))
         if count != 2:
             raise DataFormatError(f"{path}: expected encoder+decoder, found {count} networks")
         encoder = _read_network(fh, "encoder")

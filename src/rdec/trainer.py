@@ -17,6 +17,7 @@ their traces are bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -70,6 +71,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("tau", "batch_size", "max_iter", "ip", "kmeans_restarts",
+                     "pretrain_epochs", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name, value in (("gamma", self.gamma), ("s", self.s), ("alpha", self.alpha)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

@@ -1,4 +1,5 @@
 import contextlib
+import gzip
 import hashlib
 import io
 import json
@@ -27,6 +28,7 @@ from rdec.data import (
     read_idx,
     save_csv,
     save_idx,
+    scale_pixels,
     subsample,
 )
 from rdec.dec import InfiniteDivergenceError
@@ -289,7 +291,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
     @pytest.mark.parametrize("case", ["idx-bad-magic", "idx-truncated", "csv-ragged",
-                                      "csv-non-numeric", "csv-fraction-label"])
+                                      "csv-non-numeric", "csv-fraction-label",
+                                      "idx-oversized-header", "idx-oversized-header-gz"])
     def test_malformed_data_file_exits_2(self, tmp_path, idx_fixture, capsys, command,
                                          case):
         img, lab = idx_fixture
@@ -298,6 +301,12 @@ class TestTrainCommand:
             if case == "idx-bad-magic":
                 bad.write_bytes(struct.pack(">i", 0x801) + img.read_bytes()[4:])
                 message = f"{bad}: bad image magic 0x00000801 at offset 0, expected 0x00000803"
+            elif case.startswith("idx-oversized-header"):
+                # a header that claims more than any file holds was a MemoryError, exit 1
+                content = struct.pack(">iiii", 0x803, 2**31 - 1, 32768, 32768) + bytes(100)
+                bad.write_bytes(gzip.compress(content) if case.endswith("gz") else content)
+                message = (f"{bad}: truncated image data, wanted 2305843008139952128 bytes, "
+                           "got 100")
             else:
                 bad.write_bytes(img.read_bytes()[:-5])
                 message = f"{bad}: truncated image data, wanted 1920 bytes, got 1915"
@@ -854,13 +863,21 @@ class TestEvalCommand:
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 2
         err = capsys.readouterr().err
         assert "no values" in err and "l.csv" in err
+        # one value each: ARI's ValueError made it a runtime failure, exit 1
+        (tmp_path / "a.csv").write_text("3\n")
+        (tmp_path / "l.csv").write_text("label\n0\n")
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: one value in {tmp_path / 'a.csv'} and "
+                                           f"{tmp_path / 'l.csv'}; the metrics need at "
+                                           "least two\n")
 
     @pytest.mark.parametrize("text, lineno, value", [
         ("0\n1.5\n2.7\n", 2, "1.5"),  # fractions were truncated to 0, 1, 2
         ("nan\n0\n1\n", 1, "nan"),  # a first-line NaN was skipped as a header
         ("0\ninf\n1\n", 2, "inf"),  # an infinity was a bare OverflowError
         ("0\n1e20\n1\n", 2, "1e20"),  # beyond int64: an OverflowError, exit 1
-    ], ids=["fraction", "first-line-nan", "infinity", "beyond-int64"])
+        ("0\n9223372036854775808\n1\n", 2, "9223372036854775808"),
+    ], ids=["fraction", "first-line-nan", "infinity", "beyond-int64", "just-beyond-int64"])
     def test_non_integer_value_is_rejected_by_file_and_line(self, tmp_path, capsys,
                                                            text, lineno, value):
         assign, labels = tmp_path / "a.csv", tmp_path / "l.csv"
@@ -870,6 +887,17 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {assign}:{lineno}: {value!r} is not an int64 integer\n"
+
+    def test_every_int64_value_is_exact(self, tmp_path, capsys):
+        # through float64 the first read 9007199254740992 and the last was rejected
+        values = ["9007199254740993", "-9223372036854775808", "9223372036854775807"]
+        path = tmp_path / "l.csv"
+        path.write_text("label\n" + "\n".join(values) + "\n3.0\n1e3\n")
+        assert cli._read_label_file(path).tolist() == [*map(int, values), 3, 1000]
+        path.write_text("\n".join(values * 2) + "\n")
+        assert main(["eval", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "acc: 1.000000" in out and "\n9223372036854775807,1.000000," in out
 
     def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("0\n1.5\n")
@@ -1042,6 +1070,32 @@ class TestDataPathMemory:
         # Scaling every row on load held two float64 copies of all 4000 rows.
         file_bytes = sum(p.stat().st_size for pair in two_files for p in pair)
         assert peak < ds.features.nbytes + 3 * file_bytes
+
+    def test_subsample_writes_the_kept_bytes_without_a_float_copy(self, tmp_path,
+                                                                  two_files):
+        (train_images, train_labels), (test_images, test_labels) = two_files
+        cfg_path = tmp_path / "sub.cfg"
+        cfg_path.write_text(f"data.format = idx\ndata.images = {train_images},{test_images}\n"
+                            f"data.labels = {train_labels},{test_labels}\n"
+                            "subsample.mode = single_class\nsubsample.target_class = 0\n"
+                            "subsample.r_min = 0.1\nsubsample.seed = 3\n")
+        out = tmp_path / "sub"
+        tracemalloc.start()
+        try:
+            assert main(["subsample", "--config", str(cfg_path), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        # the float64 path: the kept rows scaled, then rescaled to bytes
+        kept = subsample(reduce(concat, (read_idx(images, labels)
+                                         for images, labels in two_files)),
+                         load_config(cfg_path).subsample)
+        save_idx(scale_pixels(kept), tmp_path / "images", tmp_path / "labels")
+        assert (out / "images-idx3-ubyte").read_bytes() == (tmp_path / "images").read_bytes()
+        assert (out / "labels-idx1-ubyte").read_bytes() == (tmp_path / "labels").read_bytes()
+        # one float64 copy of the kept rows would not fit
+        assert peak < 8 * kept.features.size
 
 
 class TestRunDirectory:

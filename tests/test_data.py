@@ -9,7 +9,6 @@ from rdec import data
 from rdec.data import (
     DataFormatError,
     Dataset,
-    IdxFormatError,
     SubsampleSpec,
     concat,
     filter_classes,
@@ -103,13 +102,13 @@ class TestLoadIdx:
         img, lab = write_idx_pair(
             tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0], images_magic=0x1234
         )
-        with pytest.raises(IdxFormatError, match="offset 0"):
+        with pytest.raises(DataFormatError, match="offset 0"):
             load_idx(img, lab)
 
     def test_truncated_pixels(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         img.write_bytes(img.read_bytes()[:-3])
-        with pytest.raises(IdxFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match="truncated"):
             load_idx(img, lab)
 
     @pytest.mark.parametrize("which, keep, message", [
@@ -120,18 +119,45 @@ class TestLoadIdx:
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         path = img if which == "images" else lab
         path.write_bytes(path.read_bytes()[:keep])  # the headers are 16 and 8 bytes
-        with pytest.raises(IdxFormatError, match=message):
+        with pytest.raises(DataFormatError, match=message):
             load_idx(img, lab)
 
     def test_negative_dimension_is_a_format_error(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
         img.write_bytes(struct.pack(">iiii", IMAGES_MAGIC, -1, -1, 4) + bytes(4))
-        with pytest.raises(IdxFormatError, match=r"negative image dimension .* \[-1, -1, 4\]"):
+        with pytest.raises(DataFormatError, match=r"negative image dimension .* \[-1, -1, 4\]"):
             load_idx(img, lab)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_oversized_header_is_a_truncated_file(self, tmp_path, gz):
+        # 2**31 - 1 images of 32768 x 32768 pixels over a 100-byte payload: the
+        # claimed size never sizes a buffer, so this is no MemoryError
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0], gz=gz)
+        content = struct.pack(">iiii", IMAGES_MAGIC, 2**31 - 1, 32768, 32768) + bytes(100)
+        img.write_bytes(gzip.compress(content) if gz else content)
+        with pytest.raises(DataFormatError) as info:
+            read_idx(img, lab)
+        assert str(info.value) == (f"{img}: truncated image data, wanted "
+                                   "2305843008139952128 bytes, got 100")
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_payloads_beyond_one_read_chunk(self, tmp_path, monkeypatch, gz):
+        monkeypatch.setattr(data, "READ_CHUNK", 7)
+        pixels = np.arange(150, dtype=np.uint8).reshape(6, 5, 5)
+        img, lab = write_idx_pair(tmp_path, pixels, [1, 2, 3, 4, 5, 6], gz=gz)
+        ds = read_idx(img, lab)
+        assert ds.features.tobytes() == pixels.tobytes()
+        np.testing.assert_array_equal(ds.labels, [1, 2, 3, 4, 5, 6])
+        content = img.read_bytes()
+        content = (gzip.decompress(content) if gz else content)[:-12]
+        img.write_bytes(gzip.compress(content) if gz else content)
+        with pytest.raises(DataFormatError, match="truncated image data, wanted 150 bytes, "
+                                                  "got 138$"):
+            read_idx(img, lab)
 
     def test_zero_pixel_images_are_a_format_error(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 0, 4), dtype=np.uint8), [0, 1])
-        with pytest.raises(IdxFormatError) as info:
+        with pytest.raises(DataFormatError) as info:
             load_idx(img, lab)
         assert str(info.value) == f"{img}: images have no pixels, header [2, 0, 4]"
 
@@ -146,7 +172,7 @@ class TestLoadIdx:
         _, lab = write_idx_pair(
             tmp_path / "..", np.zeros((3, 2, 2), dtype=np.uint8), [0, 0, 1]
         )
-        with pytest.raises(IdxFormatError, match="count mismatch"):
+        with pytest.raises(DataFormatError, match="count mismatch"):
             load_idx(img, lab)
 
     def test_save_round_trip(self, two_image_fixture, tmp_path):
@@ -214,10 +240,20 @@ class TestLoadIdx:
         pixels = np.clip(np.round(ds.features * 255.0), 0, 255).astype(np.uint8)
         assert (tmp_path / "img").read_bytes()[16:] == pixels.tobytes()
 
-    def test_save_rejects_unscaled_bytes(self, tmp_path):
-        # uint8 rows times 255 would clip to 0/255 pixels
-        ds = Dataset(np.full((2, 4), 7, dtype=np.uint8), np.array([0, 1]))
-        with pytest.raises(ValueError, match="needs features scaled to \\[0, 1\\], got uint8"):
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_read_then_save_writes_the_bytes_read(self, tmp_path, monkeypatch, gz):
+        # uint8 rows are written as they are; 3-row chunks split the 4 rows in two
+        monkeypatch.setattr(data, "SAVE_CHUNK", 3)
+        pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img, lab = write_idx_pair(tmp_path, pixels, [3, 1, 4, 255], gz=gz)
+        save_idx(read_idx(img, lab), tmp_path / "img", tmp_path / "lab")
+        plain = gzip.decompress if gz else bytes
+        assert (tmp_path / "img").read_bytes() == plain(img.read_bytes())
+        assert (tmp_path / "lab").read_bytes() == plain(lab.read_bytes())
+
+    def test_save_rejects_integer_features_other_than_bytes(self, tmp_path):
+        ds = Dataset(np.full((2, 4), 7, dtype=np.int64), np.array([0, 1]))
+        with pytest.raises(ValueError, match="needs features scaled to \\[0, 1\\], got int64"):
             save_idx(ds, tmp_path / "img", tmp_path / "lab")
         assert list(tmp_path.iterdir()) == []
 
@@ -267,7 +303,7 @@ class TestLoadCsv:
             load_csv(path)
 
     # 1e20 is integral but beyond int64; it was cast to -2**63 with a warning
-    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e20"])
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e20", "9223372036854775808"])
     def test_non_integer_label_named_by_line_and_column(self, tmp_path, label):
         path = tmp_path / "data.csv"
         path.write_text(f"a,label\n1.0,2\n3.0,{label}\n")
@@ -275,6 +311,15 @@ class TestLoadCsv:
             load_csv(path, label_column="label")
         assert str(info.value) == (f"{path}:3: label '{label}' in column 'label' "
                                    "is not an int64 integer")
+
+    @pytest.mark.parametrize("label", ["9007199254740993", "-9223372036854775808",
+                                       "9223372036854775807"])
+    def test_every_int64_label_is_exact(self, tmp_path, label):
+        # through float64 the first read ...992 and the last fell outside int64
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,label\n1.0,{label}\n2.0,3.0\n3.0,1e3\n")
+        ds = load_csv(path, label_column="label")
+        assert ds.labels.tolist() == [int(label), 3, 1000]
 
     def test_round_trip_with_writer(self, tmp_path, rng):
         ds = Dataset(

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from rdec import data as rdec_data
 from rdec import network
 from rdec.network import (
     Adam,
@@ -352,6 +353,26 @@ class TestSerialization:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    def test_small_read_chunks_read_the_same_model(self, tmp_path, monkeypatch):
+        # every read goes through data.read_exact, one 5-byte chunk at a time here
+        encoder, decoder = build_network(6, 2, seed=3)
+        path = tmp_path / "model.bin"
+        save_model(path, encoder, decoder)
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])
+        with pytest.raises(ValueError) as whole:
+            load_model(path)
+        monkeypatch.setattr(rdec_data, "READ_CHUNK", 5)
+        with pytest.raises(ValueError) as chunked:
+            load_model(path)
+        assert str(chunked.value) == str(whole.value)
+        assert str(whole.value) == f"{path}: truncated model file, wanted 48 bytes, got 28"
+        path.write_bytes(data)
+        enc2, dec2 = load_model(path)
+        for original, loaded in zip(encoder.parameters() + decoder.parameters(),
+                                    enc2.parameters() + dec2.parameters()):
+            assert original.tobytes() == loaded.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         encoder, decoder = build_network(6, 2, seed=9)

@@ -141,10 +141,24 @@ class TestConfigValidation:
         {"epsilon": float("inf")},
         {"xi": float("nan")},
         {"xi": float("inf")},
+        # integer fields take no fractional or float value
+        {"tau": 1.5},
+        {"batch_size": 2.5},
+        {"max_iter": 10.0},
+        {"ip": 1.0},
+        {"kmeans_restarts": 2.5},
+        {"pretrain_epochs": 0.5},
+        {"seed": 1.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             fast_config(**kwargs)
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = fast_config(tau=np.int64(3), batch_size=np.int32(8), seed=np.uint8(2))
+        assert (cfg.tau, cfg.batch_size, cfg.seed) == (3, 8, 2)
+        with pytest.raises(ValueError, match=r"^tau must be an integer, got 1\.5$"):
+            fast_config(tau=1.5)
 
     @pytest.mark.parametrize("name, value", [
         ("pretrain_lr", 0.0),
