@@ -6,8 +6,9 @@ header sizes a buffer. Pixels are scaled to [0, 1] by dividing by 255, the
 contract of the reconstruction loss and the shipped defaults; ``read_idx``
 keeps bytes, so rows are selected by label before the one float64 copy of
 the kept rows, and ``save_idx`` writes bytes back as read. ``parse_int64``
-reads labels exactly. Every CSV file rdec writes goes through ``write_csv``
-(``\\n`` line ends). A malformed input file raises ``DataFormatError``.
+reads labels exactly. ``load_csv`` converts each CSV row as it reads it.
+Every CSV file rdec writes goes through ``write_csv`` (``\\n`` line ends).
+A malformed input file raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
 
     When label_column is given, that column becomes the integer labels (each
     an int64 integer, parsed exactly by ``parse_int64``) and the remaining
-    columns the features.
-    A malformed file raises DataFormatError.
+    columns the features. Rows are checked and converted to float64 as read;
+    the first malformed one in file order raises DataFormatError.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
@@ -222,38 +223,35 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
             label_idx = header.index(label_column)
         if len(header) == (0 if label_idx is None else 1):
             raise DataFormatError(f"{path}: no feature columns in header")
-        rows = []
+        rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{lineno}: ragged row with {len(row)} cells, "
                     f"header has {len(header)}"
                 )
-            rows.append(row)
+            try:
+                values = np.array(row, dtype=np.float64)
+            except ValueError:
+                for col, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataFormatError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                              f"in column {header[col]!r}") from None
+                raise
+            if label_idx is not None:
+                label = parse_int64(row[label_idx])
+                if label is None:
+                    raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} "
+                                          f"in column {label_column!r} is not an int64 integer")
+                labels.append(label)
+                values = np.delete(values, label_idx)
+            rows.append(values)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    try:
-        values = np.array(rows, dtype=np.float64)
-    except ValueError:
-        for lineno, row in enumerate(rows, start=2):
-            for col, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column "
-                        f"{header[col]!r}"
-                    ) from None
-        raise
-    if label_idx is None:
-        return Dataset(features=values, labels=None, name=name)
-    labels = [parse_int64(row[label_idx]) for row in rows]
-    if None in labels:
-        bad = labels.index(None)
-        raise DataFormatError(f"{path}:{bad + 2}: label {rows[bad][label_idx]!r} "
-                              f"in column {label_column!r} is not an int64 integer")
-    features = np.delete(values, label_idx, axis=1)
-    return Dataset(features=features, labels=np.array(labels, dtype=np.int64), name=name)
+    labels = None if label_idx is None else np.array(labels, dtype=np.int64)
+    return Dataset(features=np.stack(rows), labels=labels, name=name)
 
 
 def _csv_cell(value) -> str:

@@ -1,9 +1,10 @@
 """Two-phase training: autoencoder pretraining, then joint clustering.
 
 Fine-tuning minimizes the clustering KL plus, for the regularized method,
-a weighted virtual-adversarial consistency term. The sharpened target
+a weighted virtual-adversarial consistency term; ``_step`` takes one step
+of it. ``finetune`` is the loop around it: the sharpened target
 distribution is refreshed from a full-dataset pass every ``tau``
-iterations; training stops when the fraction of points whose hard
+iterations, and training stops when the fraction of points whose hard
 assignment changed between consecutive refreshes drops below ``sigma``,
 or at the iteration cap.
 
@@ -71,13 +72,16 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        for name in ("tau", "batch_size", "max_iter", "ip", "kmeans_restarts",
-                     "pretrain_epochs", "seed"):
+        # ip's lower bound is checked with the other VAT settings
+        for name, least in (("tau", 1), ("batch_size", 1), ("max_iter", 1), ("ip", None),
+                            ("kmeans_restarts", 1), ("pretrain_epochs", 0), ("seed", 0)):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         for name, value in (("gamma", self.gamma), ("s", self.s), ("alpha", self.alpha)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -87,16 +91,8 @@ class TrainConfig:
             raise ValueError(f"s must be >= 1, got {self.s}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.pretrain_epochs < 0:
-            raise ValueError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         for name in ("pretrain_lr", "finetune_lr"):
             lr = getattr(self, name)
             if not (math.isfinite(lr) and lr > 0):
@@ -105,10 +101,6 @@ class TrainConfig:
             momentum = getattr(self, name)
             if not 0.0 <= momentum < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {momentum}")
-        if self.kmeans_restarts < 1:
-            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         vat.check_settings(self.epsilon, self.xi, self.ip)
 
 
@@ -310,6 +302,37 @@ def pretrain(
     return _reconstruction_loss(autoencoder, data)
 
 
+def _step(model: ClusterModel, optimizers: list[SgdMomentum], x: Matrix, target: Matrix,
+          cfg: TrainConfig, it: int) -> IterationRecord:
+    """One fine-tuning step on batch ``x`` and its target rows; returns its record.
+
+    The clean forward half gives the clustering loss and the prediction q.
+    For rdec with gamma > 0, q is the reference of the VAT probe and
+    perturbed pass, whose gradients are scaled by gamma in place. The clean
+    backward then adds layer i's VAT gradients to its own, frees them and
+    steps the layer; the centroids step last. So a step holds at most one
+    whole-encoder gradient list, the VAT one, and no parameter moves before
+    both losses pass ``check_finite``, which names the iteration and term.
+    """
+    q, caches, grad_z, grad_centroids = model._kl_forward(x, target)
+    clustering = kl_divergence(target, q) / x.shape[0]
+    check_finite(f"clustering loss at iteration {it}", clustering)
+
+    consistency, vat_grads = 0.0, None
+    if cfg.method == "rdec" and cfg.gamma > 0.0:
+        vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
+        r_adv = adversarial_perturbation(model, x, q, cfg.epsilon, cfg.xi, cfg.ip, vat_rng)
+        consistency, vat_grads = vat_loss(model, x, r_adv, q_ref=q)
+        check_finite(f"VAT loss at iteration {it}", consistency)
+        for grad in vat_grads:
+            grad *= cfg.gamma
+        grad_centroids += vat_grads.pop()
+
+    _stepped_backward(model.encoder, optimizers, caches, grad_z, added=vat_grads)
+    optimizers[-1].step([model.centroids], [grad_centroids])
+    return IterationRecord(it, clustering, consistency, clustering + cfg.gamma * consistency)
+
+
 def finetune(
     encoder: Network,
     data: Matrix,
@@ -322,12 +345,9 @@ def finetune(
 
     Centroids start from the best of several K-means runs on the embedded
     data. Each encoder layer and the centroids have their own SGD-momentum
-    optimizer. A step checks the clean loss and, for rdec, the VAT loss
-    before the clean backward steps each layer, its gamma-scaled VAT
-    gradients added, as soon as its gradients exist; the centroids step
-    last. When ``labels`` is given, ACC and ARI are recorded at every
-    target refresh. A non-finite batch loss raises FloatingPointError
-    naming the iteration and the term. The encoder is mutated in place.
+    optimizer, and each iteration is one ``_step``. When ``labels`` is
+    given, ACC and ARI are recorded at every target refresh. The encoder is
+    mutated in place.
     """
     if k < 2:
         raise ValueError(f"need k >= 2 clusters, got {k}")
@@ -337,29 +357,24 @@ def finetune(
     t0 = time.perf_counter()
 
     z = encode(encoder, data)
-    km = _kmeans(z, k, cfg)
-    centroids = km.centroids.copy()
-    model = ClusterModel(encoder, centroids, cfg.alpha)
+    model = ClusterModel(encoder, _kmeans(z, k, cfg).centroids.copy(), cfg.alpha)
+    # At the first refresh the encoder has not moved since K-means embedded the data.
+    q_full = soft_assign(z, model.centroids, cfg.alpha)
     # One optimizer per encoder layer, then one for the centroids.
     optimizers = [SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
                   for _ in range(len(encoder.layers) + 1)]
-    use_vat = cfg.method == "rdec" and cfg.gamma > 0.0
-
     batch_iter = _endless_batches(n, cfg.batch_size,
                                   np.random.default_rng([cfg.seed, _STREAM_SHUFFLE]))
 
     iterations: list[IterationRecord] = []
     checkpoints: list[CheckpointRecord] = []
-    target_full = None
-    prev_assign: np.ndarray | None = None
     assignments: np.ndarray | None = None
-    stop_reason = "max_iterations"
 
     for it in range(cfg.max_iter):
         if it % cfg.tau == 0:
-            # At iteration 0 the encoder has not moved since K-means embedded the data.
-            q_full = soft_assign(z, centroids, cfg.alpha) if it == 0 else model.predict(data)
-            assignments = q_full.argmax(axis=1)
+            if it > 0:
+                q_full = model.predict(data)
+            prev_assign, assignments = assignments, q_full.argmax(axis=1)
             target_full = target_distribution(q_full, cfg.s)
             ckpt_loss = kl_divergence(target_full, q_full) / n
             acc, ari = _scores(labels, assignments)
@@ -371,34 +386,10 @@ def finetune(
             if rate is not None and rate < cfg.sigma:
                 stop_reason = "converged"
                 break
-            prev_assign = assignments
-
         idx = next(batch_iter)
-        x_b, target_b = data[idx], target_full[idx]
-        # The clean prediction q_b is also the VAT reference.
-        q_b, caches, grad_z, grad_centroids = model._kl_forward(x_b, target_b)
-        clustering = kl_divergence(target_b, q_b) / len(idx)
-        check_finite(f"clustering loss at iteration {it}", clustering)
-
-        consistency, vat_grads = 0.0, None
-        if use_vat:
-            vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
-            r_adv = adversarial_perturbation(model, x_b, q_b, cfg.epsilon, cfg.xi,
-                                             cfg.ip, vat_rng)
-            consistency, vat_grads = vat_loss(model, x_b, r_adv, q_ref=q_b)
-            check_finite(f"VAT loss at iteration {it}", consistency)
-            for vg in vat_grads:
-                vg *= cfg.gamma
-            grad_centroids += vat_grads.pop()
-
-        _stepped_backward(encoder, optimizers, caches, grad_z, added=vat_grads)
-        optimizers[-1].step([centroids], [grad_centroids])
-        iterations.append(
-            IterationRecord(it, clustering, consistency,
-                            clustering + cfg.gamma * consistency)
-        )
-
-    if stop_reason == "max_iterations":  # the last refresh is stale
+        iterations.append(_step(model, optimizers, data[idx], target_full[idx], cfg, it))
+    else:  # the iteration cap; the last refresh is stale
+        stop_reason = "max_iterations"
         assignments = model.predict(data).argmax(axis=1)
 
     report = RunReport(
@@ -406,7 +397,7 @@ def finetune(
         iterations=iterations,
         checkpoints=checkpoints,
         final_assignments=assignments,
-        final_centroids=centroids.copy(),
+        final_centroids=model.centroids.copy(),
         stop_reason=stop_reason,
         wall_clock_seconds=time.perf_counter() - t0,
     )

@@ -1021,7 +1021,7 @@ class TestSubsampleCommand:
 
 class TestDataPathMemory:
     """The IDX path keeps rows as bytes until the kept ones are chosen, then
-    makes one float64 copy of them."""
+    makes one float64 copy of them; the CSV path converts each row as read."""
 
     @pytest.fixture(scope="class")
     def two_files(self, tmp_path_factory):
@@ -1096,6 +1096,22 @@ class TestDataPathMemory:
         assert (out / "labels-idx1-ubyte").read_bytes() == (tmp_path / "labels").read_bytes()
         # one float64 copy of the kept rows would not fit
         assert peak < 8 * kept.features.size
+
+    def test_csv_rows_are_parsed_as_read(self, tmp_path):
+        # Holding every cell as text before one conversion peaked at 11.5x
+        # the float64 features; parsed row by row, the rows and their stack
+        # peak near 2.2x.
+        rng = np.random.default_rng(5)
+        path = tmp_path / "rows.csv"
+        save_csv(Dataset(rng.random((2000, 196)), rng.integers(0, 10, size=2000)), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, label_column="label")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (2000, 196) and ds.labels.shape == (2000,)
+        assert peak < 3 * ds.features.nbytes
 
 
 class TestRunDirectory:

@@ -302,6 +302,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="oops"):
             load_csv(path)
 
+    def test_first_malformed_row_in_file_order_is_reported(self, tmp_path):
+        # a ragged row used to be reported before a non-numeric cell above it
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2\n3,oops\n4,5\n6\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: non-numeric cell 'oops' in column 'b'"
+
     # 1e20 is integral but beyond int64; it was cast to -2**63 with a warning
     @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e20", "9223372036854775808"])
     def test_non_integer_label_named_by_line_and_column(self, tmp_path, label):

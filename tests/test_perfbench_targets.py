@@ -44,3 +44,30 @@ def test_every_target_installs_and_uninstalls(tracer_module):
     assert [span[0] for span in tracer.spans] == [
         "dec.clustering_grads", "dec.squared_distances"]
     assert tracer.spans[1][3] == 0
+
+
+def test_tracer_sees_one_step_per_fine_tuning_iteration(tracer_module):
+    # perfbench times a step from a network.forward child of the
+    # trainer.finetune span to the next network.optimizer_step child (the
+    # centroid step); a step hidden inside a traced span would leave none.
+    from rdec import trainer
+    from rdec.network import build_network
+
+    data = np.random.default_rng(0).random((64, 16))
+    encoder, _ = build_network(16, 2, seed=0)
+    cfg = trainer.TrainConfig(method="rdec", max_iter=5, batch_size=16, kmeans_restarts=2)
+    tracer = tracer_module.Tracer("tier1").install()
+    try:
+        _, report = trainer.finetune(encoder, data, 2, cfg)
+    finally:
+        tracer.uninstall()
+    [root] = [i for i, span in enumerate(tracer.spans) if span[0] == "trainer.finetune"]
+    pairs, in_step = 0, False
+    for name, _, _, parent, _ in tracer.spans:
+        if parent != root:
+            continue
+        if name == "network.forward" and not in_step:
+            in_step = True
+        elif name == "network.optimizer_step" and in_step:
+            pairs, in_step = pairs + 1, False
+    assert pairs == len(report.iterations) == 5
