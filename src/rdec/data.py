@@ -207,8 +207,9 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
 
     When label_column is given, that column becomes the integer labels (each
     an int64 integer, parsed exactly by ``parse_int64``) and the remaining
-    columns the features. Rows are checked and converted to float64 as read;
-    the first malformed one in file order raises DataFormatError.
+    columns the features. Rows are checked and converted to float64 as read; the
+    first malformed one in file order (ragged, a non-numeric or non-finite
+    feature, a label not an int64) raises DataFormatError.
     """
     with _open_maybe_gzip(path, "rt", newline="") as fh:
         reader = csv.reader(fh)
@@ -241,13 +242,15 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
                                               f"in column {header[col]!r}") from None
                 raise
             if label_idx is not None:
-                label = parse_int64(row[label_idx])
-                if label is None:
+                labels.append(parse_int64(row[label_idx]))
+                if labels[-1] is None:
                     raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} "
                                           f"in column {label_column!r} is not an int64 integer")
-                labels.append(label)
-                values = np.delete(values, label_idx)
-            rows.append(values)
+            if not np.isfinite(values).all():  # the label, if any, is an int64 by now
+                col = int(np.isfinite(values).argmin())
+                raise DataFormatError(f"{path}:{lineno}: non-finite cell {row[col]!r} "
+                                      f"in column {header[col]!r}")
+            rows.append(values if label_idx is None else np.delete(values, label_idx))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     labels = None if label_idx is None else np.array(labels, dtype=np.int64)

@@ -197,7 +197,8 @@ STEP_CHUNK = 2**15
 
 
 class SgdMomentum:
-    """Classical momentum: v <- beta v - lr g; p <- p + v."""
+    """Classical momentum, v <- beta v - lr g; p <- p + v, applied in
+    ``STEP_CHUNK`` pieces of each parameter, which must be C-contiguous."""
 
     def __init__(self, lr: float, momentum: float = 0.9):
         self.lr = lr
@@ -262,7 +263,8 @@ def _write_network(fh, net: Network) -> None:
 
 
 def _read_network(fh, name: str) -> Network:
-    """Read one network; its layers must chain, each fan-in the previous fan-out."""
+    """Read one network; its layers must chain, each fan-in the previous
+    fan-out, and hold finite weights and biases."""
     (n_layers,) = struct.unpack("<I", read_exact(fh, 4, "model file"))
     if n_layers == 0:
         raise DataFormatError(f"{fh.name}: {name} has no layers")
@@ -276,9 +278,11 @@ def _read_network(fh, name: str) -> Network:
                                   f"layer {i - 1} has fan-out {shapes[-1][1]}")
         shapes.append((fan_in, fan_out, _ACTIVATION_NAMES[code]))
     layers = []
-    for fan_in, fan_out, activation in shapes:
+    for i, (fan_in, fan_out, activation) in enumerate(shapes, start=1):
         weight = np.frombuffer(read_exact(fh, 8 * fan_in * fan_out, "model file"), dtype="<f8")
         bias = np.frombuffer(read_exact(fh, 8 * fan_out, "model file"), dtype="<f8")
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise DataFormatError(f"{fh.name}: {name} layer {i} holds non-finite values")
         layers.append(
             Layer(
                 weight=weight.reshape(fan_in, fan_out).copy(),

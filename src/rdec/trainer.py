@@ -8,7 +8,8 @@ iterations, and training stops when the fraction of points whose hard
 assignment changed between consecutive refreshes drops below ``sigma``,
 or at the iteration cap.
 
-Batch losses are means over batch rows. All randomness flows from the
+Batch losses are means over batch rows; both phases check a batch's loss
+before any parameter moves on it. All randomness flows from the
 config seed through purpose-tagged generator streams, so a run is a pure
 function of (config, data); with the regularization weight at zero the
 regularized method consumes exactly the same streams as the plain one and
@@ -255,15 +256,16 @@ def _stepped_backward(net: Network, optimizers: list[SgdMomentum], caches: list[
 
 
 def _reconstruction_step(autoencoder: Network, optimizers: list[SgdMomentum],
-                         x: Matrix) -> float:
+                         x: Matrix, name: str) -> float:
     """One SGD-momentum step of every layer on the batch MSE, which it returns.
 
-    The reconstruction is freed with the other layer outputs as backward
-    passes it, and the rest of the batch's activations and gradients on
-    return, so none of them are still held while the next batch allocates
-    its own."""
+    A non-finite MSE raises FloatingPointError for ``name`` before any
+    layer steps. The reconstruction is freed with the other layer outputs as
+    backward passes it, and the rest of the batch's activations and
+    gradients on return, so none are held while the next batch allocates."""
     caches = forward(autoencoder, x)[1]
     loss, grad = mse_loss(caches[-1], x)
+    check_finite(name, loss)
     _stepped_backward(autoencoder, optimizers, caches, grad)
     return loss
 
@@ -279,8 +281,8 @@ def pretrain(
 
     Mini-batch reconstruction training for ``pretrain_epochs`` epochs with
     SGD momentum, one optimizer per layer. A non-finite batch loss raises
-    FloatingPointError naming the epoch and the batch; per-epoch mean
-    batch losses are emitted through the progress callback.
+    FloatingPointError naming the epoch and batch before any layer steps;
+    per-epoch mean batch losses are emitted through the progress callback.
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
@@ -293,9 +295,9 @@ def pretrain(
     for epoch in range(cfg.pretrain_epochs):
         losses = []
         for batch, idx in enumerate(_epoch_batches(n, cfg.batch_size, rng)):
-            loss = _reconstruction_step(autoencoder, optimizers, data[idx])
-            check_finite(f"reconstruction loss at epoch {epoch} batch {batch}", loss)
-            losses.append(loss)
+            losses.append(_reconstruction_step(
+                autoencoder, optimizers, data[idx],
+                f"reconstruction loss at epoch {epoch} batch {batch}"))
         epoch_loss = float(np.mean(losses))
         if progress is not None:
             progress({"phase": "pretrain", "epoch": epoch, "loss": epoch_loss})

@@ -292,7 +292,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
     @pytest.mark.parametrize("case", ["idx-bad-magic", "idx-truncated", "csv-ragged",
                                       "csv-non-numeric", "csv-fraction-label",
-                                      "idx-oversized-header", "idx-oversized-header-gz"])
+                                      "csv-non-finite", "idx-oversized-header",
+                                      "idx-oversized-header-gz"])
     def test_malformed_data_file_exits_2(self, tmp_path, idx_fixture, capsys, command,
                                          case):
         img, lab = idx_fixture
@@ -317,6 +318,8 @@ class TestTrainCommand:
                 "csv-non-numeric": ("oops,1", "non-numeric cell 'oops' in column 'a'"),
                 "csv-fraction-label": ("3.0,1.5", "label '1.5' in column 'label' is not "
                                                   "an int64 integer"),
+                # pretrain stopped at its first batch and train in K-means, exit 1
+                "csv-non-finite": ("nan,1", "non-finite cell 'nan' in column 'a'"),
             }[case]
             path = tmp_path / "in.csv"
             path.write_text(f"a,label\n1.0,0\n{last_row}\n")
@@ -361,7 +364,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("case", ["bad-magic", "network-count", "truncated",
                                       "unknown-activation", "oversized-layer", "no-layers",
                                       "encoder-chain", "decoder-chain",
-                                      "decoder-not-mirrored", "decoder-latent"])
+                                      "decoder-not-mirrored", "decoder-latent",
+                                      "non-finite"])
     def test_malformed_model_file_exits_2(self, tmp_path, idx_fixture, capsys, monkeypatch,
                                           case):
         def no_load(*args, **kwargs):
@@ -386,6 +390,9 @@ class TestTrainCommand:
         elif case == "decoder-latent":
             decoder = build_network(16, 3, seed=0)[1]
             message = f"{model}: decoder layer 1 has fan-in 3, the encoder's output width is 2"
+        elif case == "non-finite":  # it loaded, and K-means failed on the embedding, exit 1
+            encoder.layers[0].weight[3, 7] = np.nan
+            message = f"{model}: encoder layer 1 holds non-finite values"
         save_model(model, encoder, decoder)
         data = bytearray(model.read_bytes())
         # magic (8 bytes), network count (4), then the encoder's layer count

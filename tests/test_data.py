@@ -310,6 +310,16 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == f"{path}:3: non-numeric cell 'oops' in column 'b'"
 
+    # each reached K-means or pretraining and failed there, exit 1
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_non_finite_feature_named_by_line_and_column(self, tmp_path, cell, label_column):
+        path = tmp_path / "data.csv"
+        path.write_text(f"label,a,b\n0,1.0,2.0\n1,3.0,{cell}\n0,oops,2.0\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == f"{path}:3: non-finite cell '{cell}' in column 'b'"
+
     # 1e20 is integral but beyond int64; it was cast to -2**63 with a warning
     @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "1e20", "9223372036854775808"])
     def test_non_integer_label_named_by_line_and_column(self, tmp_path, label):

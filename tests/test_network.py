@@ -354,6 +354,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
+    @pytest.mark.parametrize("network, layer, array, value", [
+        ("encoder", 1, "weight", np.nan),
+        ("encoder", 3, "bias", -np.inf),
+        ("decoder", 4, "weight", np.inf),
+    ])
+    def test_non_finite_parameters_are_rejected(self, tmp_path, network, layer, array, value):
+        # a NaN weight used to load, and training failed later in K-means
+        nets = dict(zip(("encoder", "decoder"), build_network(6, 2, seed=0)))
+        getattr(nets[network].layers[layer - 1], array).flat[-1] = value
+        path = tmp_path / "model.bin"
+        save_model(path, nets["encoder"], nets["decoder"])
+        with pytest.raises(rdec_data.DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {network} layer {layer} holds non-finite values"
+
     def test_small_read_chunks_read_the_same_model(self, tmp_path, monkeypatch):
         # every read goes through data.read_exact, one 5-byte chunk at a time here
         encoder, decoder = build_network(6, 2, seed=3)

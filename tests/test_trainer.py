@@ -236,14 +236,14 @@ class TestPretrain:
     def test_pretrain_names_the_non_finite_epoch(self, monkeypatch):
         data, _ = two_gaussians(n=64, seed=0)
         data = (data - data.min()) / (data.max() - data.min())
-        real = trainer._reconstruction_step
+        real = trainer.mse_loss
         epoch_of_batch = iter([0, 0, 1, 1])  # two 32-row batches an epoch
 
         def nan_in_epoch_1(*args):
-            loss = real(*args)
-            return np.nan if next(epoch_of_batch) == 1 else loss
+            loss, grad = real(*args)
+            return (np.nan if next(epoch_of_batch) == 1 else loss), grad
 
-        monkeypatch.setattr(trainer, "_reconstruction_step", nan_in_epoch_1)
+        monkeypatch.setattr(trainer, "mse_loss", nan_in_epoch_1)
         cfg = fast_config(pretrain_epochs=3, batch_size=32, pretrain_lr=0.05)
         with pytest.raises(FloatingPointError, match="reconstruction loss at epoch 1 "):
             pretrain(small_encoder(0), small_decoder(0), data, cfg)
@@ -251,19 +251,34 @@ class TestPretrain:
     def test_pretrain_stops_at_the_first_non_finite_batch(self, monkeypatch):
         data, _ = two_gaussians(n=64, seed=0)
         data = (data - data.min()) / (data.max() - data.min())
-        real = trainer._reconstruction_step
+        real = trainer.mse_loss
         calls = []
 
         def nan_loss(*args):
-            calls.append(real(*args))
-            return np.nan
+            loss, grad = real(*args)
+            calls.append(loss)
+            return np.nan, grad
 
-        monkeypatch.setattr(trainer, "_reconstruction_step", nan_loss)
+        monkeypatch.setattr(trainer, "mse_loss", nan_loss)
         cfg = fast_config(pretrain_epochs=3, batch_size=32, pretrain_lr=0.05)
         with pytest.raises(FloatingPointError,
                            match="reconstruction loss at epoch 0 batch 0 "):
             pretrain(small_encoder(0), small_decoder(0), data, cfg)
         assert len(calls) == 1
+
+    def test_a_non_finite_reconstruction_loss_moves_no_parameter(self):
+        # Each layer used to step on the batch's NaN gradients before the check.
+        data, _ = two_gaussians(n=64, seed=0)
+        data = (data - data.min()) / (data.max() - data.min())
+        data[5, 1] = np.nan
+        encoder, decoder = small_encoder(0), small_decoder(0)
+        start = [p.copy() for p in encoder.parameters() + decoder.parameters()]
+        cfg = fast_config(pretrain_epochs=3, batch_size=64, pretrain_lr=0.05)
+        with pytest.raises(FloatingPointError,
+                           match="reconstruction loss at epoch 0 batch 0 "):
+            pretrain(encoder, decoder, data, cfg)
+        for got, want in zip(encoder.parameters() + decoder.parameters(), start, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
@@ -318,10 +333,11 @@ class TestPretrain:
         autoencoder = Network(encoder.layers + decoder.layers)
         optimizers = [SgdMomentum(0.1, 0.9) for _ in autoencoder.layers]
         x = np.random.default_rng(0).random((256, 784))
-        trainer._reconstruction_step(autoencoder, optimizers, x)  # makes the velocities
+        # the first step makes the velocities
+        trainer._reconstruction_step(autoencoder, optimizers, x, "loss")
         tracemalloc.start()
         try:
-            trainer._reconstruction_step(autoencoder, optimizers, x)
+            trainer._reconstruction_step(autoencoder, optimizers, x, "loss")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
