@@ -1,7 +1,9 @@
 """Experiment command line: pretrain, train, eval, subsample.
 
 Configs are flat ``key = value`` text files (``#`` starts a comment);
-unknown keys are rejected. Shipped baseline configs live in ``configs/``.
+unknown keys are rejected. ``SCHEMA`` holds the data and run keys, and each
+``TrainConfig`` field is one training key (``TRAINING_KEYS``). Shipped
+baseline configs live in ``configs/``.
 ``pretrain``, ``train`` and ``subsample`` take a repeatable ``--set
 KEY=VALUE``: the values are parsed as further config lines (source
 ``--set``, line N for the N-th value) and replace the file's values.
@@ -15,7 +17,8 @@ timestamp suffix is appended instead.
 
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure or a
 malformed input file (data, label or model; a header claiming more bytes
-than the file holds is truncated). ``eval`` needs two values.
+than the file holds is truncated), IDX image files of different widths
+merged, or ``eval`` on fewer than two values.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
 deterministic for a fixed thread count). The ``rdec`` package applies it on
 its first import, before numpy loads, for this CLI and library scripts alike.
@@ -27,13 +30,14 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -56,7 +60,8 @@ from .data import (
     write_csv,
 )
 from .network import build_network, encode, load_model, save_model
-from .trainer import ENCODER_METHODS, IterationRecord, TrainConfig, pretrain, run_clustering
+from .trainer import (ENCODER_METHODS, FINETUNE_METHODS, IterationRecord, TrainConfig,
+                      pretrain, run_clustering)
 
 
 class ConfigError(ValueError):
@@ -71,44 +76,34 @@ def _parse_str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip() != ""]
 
 
-# Every legal config key with its parser and, for training settings, the
-# TrainConfig field it sets. Dotted key prefixes group related settings;
-# values are plain text after the first '='.
+# The data and run keys with their parsers. Dotted key prefixes group
+# related settings; values are plain text after the first '='.
 SCHEMA = {
-    "data.format": (str, None),
-    "data.images": (_parse_str_list, None),
-    "data.labels": (_parse_str_list, None),
-    "data.path": (str, None),
-    "data.label_column": (str, None),
-    "data.classes": (_parse_int_list, None),
-    "data.name": (str, None),
-    "subsample.mode": (str, None),
-    "subsample.r_min": (float, None),
-    "subsample.target_class": (int, None),
-    "subsample.counts": (_parse_int_list, None),
-    "subsample.seed": (int, None),
-    "method": (str, "method"),
-    "k": (int, None),
-    "latent_dim": (int, None),
-    "seed": (int, "seed"),
-    "model": (str, None),
-    "out": (str, None),
-    "gamma": (float, "gamma"),
-    "s": (float, "s"),
-    "epsilon": (float, "epsilon"),
-    "xi": (float, "xi"),
-    "ip": (int, "ip"),
-    "tau": (int, "tau"),
-    "sigma": (float, "sigma"),
-    "max_iter": (int, "max_iter"),
-    "batch_size": (int, "batch_size"),
-    "pretrain.epochs": (int, "pretrain_epochs"),
-    "pretrain.lr": (float, "pretrain_lr"),
-    "pretrain.momentum": (float, "pretrain_momentum"),
-    "finetune.lr": (float, "finetune_lr"),
-    "finetune.momentum": (float, "finetune_momentum"),
-    "kmeans.restarts": (int, "kmeans_restarts"),
+    "data.format": str,
+    "data.images": _parse_str_list,
+    "data.labels": _parse_str_list,
+    "data.path": str,
+    "data.label_column": str,
+    "data.classes": _parse_int_list,
+    "data.name": str,
+    "subsample.mode": str,
+    "subsample.r_min": float,
+    "subsample.target_class": int,
+    "subsample.counts": _parse_int_list,
+    "subsample.seed": int,
+    "k": int,
+    "latent_dim": int,
+    "model": str,
+    "out": str,
 }
+
+# Each TrainConfig field is set by one training key: the field name, the first
+# underscore of a pretrain_, finetune_ or kmeans_ field read as a dot.
+TRAINING_KEYS = {re.sub(r"^(pretrain|finetune|kmeans)_", r"\1.", f.name): f.name
+                 for f in fields(TrainConfig)}
+# Every legal key's parser; a training key's is the type of its field's default.
+PARSERS = {**SCHEMA, **{key: type(getattr(TrainConfig, name))
+                        for key, name in TRAINING_KEYS.items()}}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -121,12 +116,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
+        if key not in PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in settings:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            settings[key] = SCHEMA[key][0](value)
+            settings[key] = PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
     return settings
@@ -153,19 +148,19 @@ class ExperimentConfig:
         present, checked as TrainConfig is built; ``k`` and ``latent_dim`` too.
         Set ``subsample`` the same way from the ``subsample.*`` keys present, if
         any: they need ``subsample.mode``; the seed defaults to the training one."""
-        fields = {SCHEMA[key][1]: value for key, value in self.settings.items()
-                  if SCHEMA[key][1] is not None}
+        train = {TRAINING_KEYS[key]: value for key, value in self.settings.items()
+                 if key in TRAINING_KEYS}
         sub = {key.removeprefix("subsample."): value for key, value in self.settings.items()
                if key.startswith("subsample.")}
         if sub and "mode" not in sub:
             raise ConfigError(f"subsample.{next(iter(sub))} is set but subsample.mode is not")
         try:
-            cfg = TrainConfig(**fields)
+            cfg = TrainConfig(**train)
             spec = SubsampleSpec(**{"seed": cfg.seed, **sub}) if sub else None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # dec and rdec fine-tune toward at least two clusters.
-        k_min = 2 if cfg.method in ("dec", "rdec") else 1
+        k_min = 2 if cfg.method in FINETUNE_METHODS else 1
         if self.settings.get("k", k_min) < k_min:
             raise ConfigError(f"k must be >= {k_min} for method {cfg.method}, "
                               f"got {self.settings['k']}")
@@ -199,46 +194,53 @@ class DataSource(NamedTuple):
     save: Callable[..., None]  # save(dataset, *paths), one path per output
 
 
-def _data_source(cfg: ExperimentConfig) -> DataSource:
-    """Resolve ``data.format`` into the input files and their reader/writer."""
+def _read_idx_files(images: list[str], labels: list[str], name: str) -> Dataset:
+    """The IDX pairs read and merged in order; an image file whose width is
+    not the first one's is a ``ConfigError`` naming both."""
+    merged = read_idx(images[0], labels[0], name=name)
+    for img, lab in zip(images[1:], labels[1:]):
+        part = read_idx(img, lab, name=name)
+        if part.dim != merged.dim:
+            raise ConfigError(f"data.images: {images[0]} has {merged.dim}-pixel images, "
+                              f"{img} has {part.dim}-pixel images")
+        merged = concat(merged, part)
+    return merged
+
+
+def _data_source(cfg: ExperimentConfig, need_model: bool = False) -> DataSource:
+    """Resolve ``data.format`` into the input files and their reader/writer.
+    The files are the data's, then the model's if ``need_model``; a missing
+    one is a ``ConfigError``."""
     fmt = cfg.require("data.format")
     name = cfg.get("data.name", "dataset")
     if fmt == "idx":
         images = cfg.require("data.images")
         labels = cfg.require("data.labels")
         if len(images) != len(labels):
-            raise ConfigError(
-                f"{len(images)} image files vs {len(labels)} label files"
-            )
-        return DataSource(
+            raise ConfigError(f"{len(images)} image files vs {len(labels)} label files")
+        source = DataSource(
             files=[Path(p) for p in images + labels],
-            load=lambda: reduce(concat, (read_idx(img, lab, name=name)
-                                         for img, lab in zip(images, labels))),
+            load=partial(_read_idx_files, images, labels, name),
             outputs={"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"},
             save=save_idx,
         )
-    if fmt == "csv":
+    elif fmt == "csv":
         path = cfg.require("data.path")
         label_column = cfg.get("data.label_column")
-        return DataSource(
+        source = DataSource(
             files=[Path(path)],
-            load=lambda: load_csv(path, label_column, name=name),
+            load=partial(load_csv, path, label_column, name=name),
             outputs={"csv": "data.csv"},
             save=partial(save_csv, label_column=label_column),
         )
-    raise ConfigError(f"unknown data.format {fmt!r}")
-
-
-def _existing_paths(cfg: ExperimentConfig, source: DataSource, *,
-                    need_model: bool) -> list[Path]:
-    """Validate that every input file exists; returns them for hashing."""
-    paths = list(source.files)
+    else:
+        raise ConfigError(f"unknown data.format {fmt!r}")
     if need_model:
-        paths.append(Path(cfg.require("model")))
-    missing = [str(p) for p in paths if not p.is_file()]
+        source.files.append(Path(cfg.require("model")))
+    missing = [str(p) for p in source.files if not p.is_file()]
     if missing:
         raise ConfigError(f"input files not found: {', '.join(missing)}")
-    return paths
+    return source
 
 
 def _select_rows(cfg: ExperimentConfig, source: DataSource) -> tuple[Dataset, Dataset]:
@@ -275,15 +277,17 @@ def _sha256(path: Path) -> str:
 
 
 @contextmanager
-def _publish(args, cfg: ExperimentConfig | None = None, default: str | None = None):
+def _publish(args, cfg: ExperimentConfig | None, input_paths: list[Path]):
     """Stage a run directory and publish it whole with one rename.
 
-    The target ``out`` is ``--out``, else the ``out`` key, else ``default``,
-    with a timestamp suffix if it exists. Yields ``(stage, out)``: the block
-    writes its files into ``stage``, a hidden directory beside ``out``, which
-    is renamed to ``out`` when the block ends, or removed if it raises.
+    The target ``out`` is ``--out``, else the ``out`` key, else
+    ``runs/<command>``, with a timestamp suffix if it exists. Yields ``(stage,
+    out, extra)``: the block writes its files into ``stage``, a hidden
+    directory beside ``out``, and may add manifest entries to ``extra``. Then
+    ``manifest.json`` is written last and ``stage`` renamed to ``out``; if
+    either raises, or the block does, ``stage`` is removed.
     """
-    base = Path(cfg.get("out", default) if args.out is None else args.out)
+    base = Path(cfg.get("out", f"runs/{args.command}") if args.out is None else args.out)
     out = base  # as a Path, a trailing slash cannot put the suffix inside base
     if out.exists():
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -298,7 +302,9 @@ def _publish(args, cfg: ExperimentConfig | None = None, default: str | None = No
         umask = os.umask(0)
         os.umask(umask)
         stage.chmod(0o777 & ~umask)  # the mode mkdir gives; mkdtemp's is 0o700
-        yield stage, out
+        extra: dict = {}
+        yield stage, out, extra
+        _write_manifest(stage, cfg, args.command, input_paths, extra)
         os.rename(stage, out)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -309,7 +315,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
-                    input_paths: list[Path], extra: dict | None = None) -> None:
+                    input_paths: list[Path], extra: dict) -> None:
     """Write config.txt when there is a config, then manifest.json with the
     hash of every other file."""
     manifest = {"command": command}
@@ -320,7 +326,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
         manifest["settings"] = {k: cfg.settings[k] for k in sorted(cfg.settings)}
     manifest["input_sha256"] = {str(p): _sha256(p) for p in input_paths}
     manifest["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest.update(extra or {})
+    manifest.update(extra)
     manifest["output_sha256"] = {p.name: _sha256(p) for p in sorted(out.iterdir())}
     _write_json(out / "manifest.json", manifest)
 
@@ -341,7 +347,6 @@ def _print_progress(event: dict) -> None:
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.set)
     source = _data_source(cfg)
-    input_paths = _existing_paths(cfg, source, need_model=False)
     ds = load_dataset(cfg, source)
     latent = cfg.get("latent_dim", 10)
     encoder, decoder = build_network(ds.dim, latent, cfg.train.seed)
@@ -354,11 +359,10 @@ def cmd_pretrain(args) -> int:
 
     final_loss = pretrain(encoder, decoder, ds.features, cfg.train, progress=log_epoch)
 
-    with _publish(args, cfg, "runs/pretrain") as (stage, out):
+    with _publish(args, cfg, source.files) as (stage, out, _):
         save_model(stage / "model.bin", encoder, decoder)
         _write_json(stage / "pretrain_log.json",
                     {"epochs": epochs_log, "final_reconstruction_loss": final_loss})
-        _write_manifest(stage, cfg, "pretrain", input_paths)
     print(f"model written to {out / 'model.bin'} (final reconstruction loss {final_loss:.6f})")
     return 0
 
@@ -405,8 +409,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     method = cfg.train.method
     needs_model = method in ENCODER_METHODS
-    source = _data_source(cfg)
-    input_paths = _existing_paths(cfg, source, need_model=needs_model)
+    source = _data_source(cfg, need_model=needs_model)
 
     encoder = None
     if needs_model:
@@ -435,7 +438,7 @@ def cmd_train(args) -> int:
     payload["final_metrics"] = final
     payload["n"] = ds.n
     payload["k"] = k
-    with _publish(args, cfg, "runs/train") as (stage, out):
+    with _publish(args, cfg, source.files) as (stage, out, _):
         _write_json(stage / "report.json", payload)
         write_csv(stage / "assignments.csv", ("assignment",), ((a,) for a in assignments))
         if final is not None:
@@ -447,7 +450,6 @@ def cmd_train(args) -> int:
             if ds.labels is not None:
                 columns["label"] = ds.labels
             write_csv(stage / "embeddings.csv", columns, zip(*columns.values()))
-        _write_manifest(stage, cfg, "train", input_paths)
 
     summary = f"method {method}: stop {report.stop_reason}, " \
               f"{report.wall_clock_seconds:.1f}s"
@@ -497,9 +499,8 @@ def cmd_eval(args) -> int:
     for cls, prf in final["per_class"].items():
         print(f"{cls},{prf['recall']:.6f},{prf['precision']:.6f},{prf['f_measure']:.6f}")
     if args.out:
-        with _publish(args) as (stage, out):
+        with _publish(args, None, [Path(args.assignments), Path(args.labels)]) as (stage, out, _):
             _write_metrics_csv(stage / "metrics.csv", final)
-            _write_manifest(stage, None, "eval", [Path(args.assignments), Path(args.labels)])
         print(f"metrics written to {out / 'metrics.csv'}")
     return 0
 
@@ -509,21 +510,12 @@ def cmd_subsample(args) -> int:
     if cfg.subsample is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
     source = _data_source(cfg)
-    input_paths = _existing_paths(cfg, source, need_model=False)
-
     full, kept = _select_rows(cfg, source)
-    with _publish(args, cfg, "runs/subsample") as (stage, out):
+    with _publish(args, cfg, source.files) as (stage, out, extra):
         source.save(kept, *(stage / name for name in source.outputs.values()))
-        _write_manifest(
-            stage, cfg, "subsample", input_paths,
-            extra={
-                "subsample": vars(cfg.subsample),
-                "class_counts_before": full.class_counts,
-                "class_counts_after": kept.class_counts,
-                "output_files": {key: str(out / name)
-                                 for key, name in source.outputs.items()},
-            },
-        )
+        extra.update(subsample=vars(cfg.subsample), class_counts_before=full.class_counts,
+                     class_counts_after=kept.class_counts,
+                     output_files={key: str(out / name) for key, name in source.outputs.items()})
     print(f"subsampled {full.n} -> {kept.n} rows; outputs in {out}")
     return 0
 

@@ -177,10 +177,10 @@ def _to_bytes(features: np.ndarray) -> bytes:
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Write a dataset back to an IDX pair: square-image rows of uint8 pixels
-    as they are, or floats in [0, 1] scale rescaled to bytes (values outside
-    are clipped). IDX-read rows round-trip exactly, as bytes or as k/255.
-    """
+    """Write a dataset back to an IDX pair of side x side images, or of 1 x d
+    ones when the width d is no square: uint8 pixels as they are, or floats in
+    [0, 1] scale rescaled to bytes (values outside are clipped). IDX-read rows
+    round-trip exactly, as bytes or as k/255."""
     if ds.labels is None:
         raise ValueError("save_idx needs labels")
     if ds.features.dtype != np.uint8 and not np.issubdtype(ds.features.dtype, np.floating):
@@ -190,11 +190,10 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
     if bad.size:
         raise ValueError(f"label {ds.labels[bad[0]]} at row {bad[0]} is outside "
                          f"0..255, the range of an IDX label byte")
-    side = int(round(ds.dim**0.5))
-    if side * side != ds.dim:
-        raise ValueError(f"feature dim {ds.dim} is not a square image size")
+    side = math.isqrt(ds.dim)
+    shape = (side, side) if side * side == ds.dim else (1, ds.dim)
     with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, side, side))
+        fh.write(struct.pack(">iiii", IMAGES_MAGIC, ds.n, *shape))
         for start in range(0, ds.n, SAVE_CHUNK):
             fh.write(_to_bytes(ds.features[start : start + SAVE_CHUNK]))
     with open(labels_path, "wb") as fh:

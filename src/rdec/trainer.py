@@ -22,7 +22,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .vat import adversarial_perturbation, vat_loss
 
 METHODS = ("kmeans", "ae_kmeans", "dec", "rdec")
 ENCODER_METHODS = ("ae_kmeans", "dec", "rdec")  # need a pretrained encoder
+FINETUNE_METHODS = ("dec", "rdec")  # fine-tune the encoder and centroids
 
 # Generator stream tags; every consumer derives from (seed, tag, ...).
 _STREAM_PRETRAIN = 1
@@ -50,10 +51,10 @@ class TrainConfig:
     """Training settings, checked when built: a bad value raises ValueError,
     and ``dataclasses.replace`` checks the new settings again."""
 
+    alpha: ClassVar[float] = 1.0  # Student-t degrees of freedom, fixed as in DEC; no field
     method: str = "rdec"
     gamma: float = 5.0
     s: float = 2.0
-    alpha: float = 1.0
     epsilon: float = 1.0  # VAT perturbation radius, input-space units
     xi: float = 10.0  # VAT probe scale for the power-iteration gradient
     ip: int = 1  # VAT power iterations
@@ -83,15 +84,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name, value in (("gamma", self.gamma), ("s", self.s), ("alpha", self.alpha)):
+        for name, value in (("gamma", self.gamma), ("s", self.s)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.s < 1.0:
             raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
         for name in ("pretrain_lr", "finetune_lr"):
@@ -419,7 +418,7 @@ def run_clustering(
     cfg = replace(cfg, method=method)
     if method in ENCODER_METHODS and encoder is None:
         raise ValueError(f"method {method} needs a pretrained encoder")
-    if method in ("dec", "rdec"):
+    if method in FINETUNE_METHODS:
         return finetune(encoder, data, k, cfg, labels=labels, progress=progress)
 
     t0 = time.perf_counter()

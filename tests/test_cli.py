@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rdec import cli, trainer
-from rdec.cli import SCHEMA, ExperimentConfig, load_config, main
+from rdec.cli import PARSERS, SCHEMA, TRAINING_KEYS, ExperimentConfig, load_config, main
 from rdec.data import (
     DataFormatError,
     Dataset,
@@ -180,6 +180,20 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
                      "--out", str(out)]) == 2
         assert keys[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_files_of_different_widths_exit_2(self, tmp_path, idx_fixture, capsys):
+        # 24-pixel images, then the fixture's 16-pixel ones
+        wide, wide_labels = tmp_path / "wide", tmp_path / "wide-labels"
+        wide.write_bytes(struct.pack(">iiii", 0x803, 3, 4, 6) + bytes(72))
+        wide_labels.write_bytes(struct.pack(">ii", 0x801, 3) + bytes(3))
+        img, lab = idx_fixture
+        cfg = write_config(tmp_path, (f"{wide},{img}", f"{wide_labels},{lab}"))
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: data.images: {wide} has 24-pixel images, "
+                                           f"{img} has 16-pixel images\n")
         assert not out.exists()
 
     def test_method_and_gamma_overrides(self, tmp_path, idx_fixture, pretrained):
@@ -602,10 +616,22 @@ class TestTrainConfigMapping:
         path = tmp_path / "all.cfg"
         path.write_text(NON_DEFAULT_TRAINING)
         cfg = load_config(path)
-        assert set(cfg.settings) == {key for key, (_, dest) in SCHEMA.items() if dest}
+        assert set(cfg.settings) == set(TRAINING_KEYS)
         train = cfg.train
         assert train == NON_DEFAULT_TRAIN_CONFIG
         assert (cfg.train.seed, cfg.train.method) == (7, "dec")
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        assert sorted(TRAINING_KEYS.values()) == sorted(f.name for f in fields(TrainConfig))
+        # each key's name and parser, as the hand-written table spelled them
+        assert {key: PARSERS[key] for key in TRAINING_KEYS} == {
+            "method": str, "gamma": float, "s": float, "epsilon": float, "xi": float,
+            "ip": int, "tau": int, "sigma": float, "max_iter": int, "batch_size": int,
+            "pretrain.epochs": int, "pretrain.lr": float, "pretrain.momentum": float,
+            "finetune.lr": float, "finetune.momentum": float, "kmeans.restarts": int,
+            "seed": int,
+        }
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 17
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -674,6 +700,7 @@ class TestSetOption:
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
     @pytest.mark.parametrize("assignments, message", [
         (["seed=9", "bogus=1"], "--set:2: unknown key 'bogus'"),
+        (["alpha=2"], "--set:1: unknown key 'alpha'"),  # fixed at 1, as in DEC
         (["gamma=high"], "--set:1: bad value for gamma: "
                          "could not convert string to float: 'high'"),
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
@@ -685,7 +712,7 @@ class TestSetOption:
         (["subsample.counts="], "explicit_counts mode needs counts"),
         (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
-    ], ids=["unknown-key", "bad-value", "duplicate", "no-equals", "invalid", "subsample-mode",
+    ], ids=["unknown-key", "alpha", "bad-value", "duplicate", "no-equals", "invalid", "subsample-mode",
             "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts",
             "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
@@ -985,6 +1012,24 @@ class TestSubsampleCommand:
     def test_requires_mode(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture)
         assert main(["subsample", "--config", str(cfg)]) == 2
+
+    def test_keeps_images_that_are_not_square(self, tmp_path):
+        # 20 images of 4 x 6 pixels; the kept rows are written as 1 x 24 images
+        rng = np.random.default_rng(2)
+        pixels = rng.integers(0, 256, size=(20, 4, 6), dtype=np.uint8)
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">iiii", 0x803, 20, 4, 6) + pixels.tobytes())
+        labels.write_bytes(struct.pack(">ii", 0x801, 20) + bytes([0, 1] * 10))
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text(f"data.format = idx\ndata.images = {images}\ndata.labels = {labels}\n"
+                       "subsample.mode = explicit_counts\nsubsample.counts = 3,10\n")
+        out = tmp_path / "sub"
+        assert main(["subsample", "--config", str(cfg), "--out", str(out)]) == 0
+        kept = read_idx(out / "images-idx3-ubyte", out / "labels-idx1-ubyte")
+        want = subsample(read_idx(images, labels), load_config(cfg).subsample)
+        assert kept.features.shape == (13, 24)
+        np.testing.assert_array_equal(kept.features, want.features)
+        np.testing.assert_array_equal(kept.labels, want.labels)
 
     @pytest.mark.parametrize("classes", [None, [0, 2]], ids=["all", "classes-0-2"])
     @pytest.mark.parametrize("mode", ["single_class", "explicit_counts", "interpolated"])

@@ -212,11 +212,15 @@ class TestLoadIdx:
         assert (tmp_path / "img").read_bytes() == (tmp_path / "whole-img").read_bytes()
         assert (tmp_path / "lab").read_bytes() == (tmp_path / "whole-lab").read_bytes()
 
-    def test_save_rejects_non_square_rows(self, rng, tmp_path):
-        ds = Dataset(rng.random((3, 10)), np.arange(3))
-        with pytest.raises(ValueError, match="feature dim 10 is not a square image size"):
-            save_idx(ds, tmp_path / "img", tmp_path / "lab")
-        assert not (tmp_path / "img").exists()
+    def test_save_round_trips_non_square_rows(self, rng, tmp_path):
+        # 10 pixels are no square: the header says 3 images of 1 x 10
+        pixels = rng.integers(0, 256, size=(3, 10), dtype=np.uint8)
+        save_idx(Dataset(pixels, np.arange(3)), tmp_path / "img", tmp_path / "lab")
+        assert ((tmp_path / "img").read_bytes()
+                == struct.pack(">iiii", IMAGES_MAGIC, 3, 1, 10) + pixels.tobytes())
+        back = read_idx(tmp_path / "img", tmp_path / "lab")
+        np.testing.assert_array_equal(back.features, pixels)
+        np.testing.assert_array_equal(back.labels, np.arange(3))
 
     def test_save_rejects_labels_outside_a_byte(self, rng, tmp_path):
         # uint8 would wrap them: [300, -1] read back as [44, 255]

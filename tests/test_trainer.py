@@ -125,7 +125,6 @@ class TestConfigValidation:
         {"sigma": 1.0},
         {"batch_size": 0},
         {"max_iter": 0},
-        {"alpha": 0.0},
         {"seed": -1},
         {"kmeans_restarts": 0},
         {"epsilon": 0.0},
@@ -135,8 +134,6 @@ class TestConfigValidation:
         {"gamma": float("inf")},
         {"s": float("nan")},
         {"s": float("inf")},
-        {"alpha": float("nan")},
-        {"alpha": float("inf")},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
         {"xi": float("nan")},
@@ -173,6 +170,12 @@ class TestConfigValidation:
     def test_rejects_a_bad_step_setting_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
             fast_config(**{name: value})
+
+    def test_alpha_is_fixed_at_one(self):
+        # DEC's Student-t degrees of freedom: a class constant, not a setting
+        assert TrainConfig().alpha == 1.0
+        with pytest.raises(TypeError, match="alpha"):
+            TrainConfig(alpha=2.0)
 
     def test_accepts_zero_momentum(self):
         fast_config(pretrain_momentum=0.0, finetune_momentum=0.0)
@@ -521,17 +524,6 @@ class TestFinetune:
         finally:
             tracemalloc.stop()
         assert peak < 54 * 2**20
-
-    def test_bad_alpha_fails_before_kmeans(self, monkeypatch):
-        data, _ = two_gaussians(n=40, seed=1)
-
-        def no_kmeans(*args, **kwargs):
-            raise AssertionError("K-means ran before alpha was checked")
-
-        monkeypatch.setattr(trainer, "kmeans", no_kmeans)
-        for alpha in (0.0, -1.0):
-            with pytest.raises(ValueError, match="alpha"):
-                finetune(small_encoder(0), data, 2, fast_config(alpha=alpha))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow
     def test_diverging_step_fails_at_the_first_non_finite_loss(self):
