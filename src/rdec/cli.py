@@ -48,6 +48,7 @@ from .data import (
     DataFormatError,
     Dataset,
     SubsampleSpec,
+    _open_maybe_gzip,
     concat,
     filter_classes,
     load_csv,
@@ -463,7 +464,7 @@ def cmd_train(args) -> int:
 def _read_label_file(path) -> np.ndarray:
     """One exact int64 integer per non-blank line, after an optional non-numeric header."""
     values = []
-    with open(path) as fh:
+    with _open_maybe_gzip(path, "rt", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -202,7 +202,7 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
 
 
 def load_csv(path, label_column: str | None = None, name: str = "csv") -> Dataset:
-    """Load a rectangular numeric CSV with a header row.
+    """Load a rectangular numeric CSV with a header row; blank lines after it are skipped.
 
     When label_column is given, that column becomes the integer labels (each
     an int64 integer, parsed exactly by ``parse_int64``) and the remaining
@@ -210,7 +210,7 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     first malformed one in file order (ragged, a non-numeric or non-finite
     feature, a label not an int64) raises DataFormatError.
     """
-    with _open_maybe_gzip(path, "rt", newline="") as fh:
+    with _open_maybe_gzip(path, "rt", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -225,6 +225,8 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
             raise DataFormatError(f"{path}: no feature columns in header")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{lineno}: ragged row with {len(row)} cells, "

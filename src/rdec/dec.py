@@ -1,6 +1,7 @@
 """Soft-assignment clustering head.
 
-Embedded points are assigned to centroids with a Student-t kernel, the
+Embedded points are assigned to centroids with a Student-t kernel of one
+degree of freedom, ``1 / (1 + ||z - u||^2)``, fixed as in DEC; the
 assignments are sharpened into a frequency-normalized target, and the
 model is trained to match that target under a KL objective. The gradient
 helper differentiates the KL with respect to both the embedded points and
@@ -47,24 +48,18 @@ def squared_distances(z: Matrix, centroids: Matrix) -> Matrix:
     return expanded_squared_distances(np.sum(z**2, axis=1), z, centroids)
 
 
-def _kernel(dists: Matrix, alpha: float) -> Matrix:
-    return (1.0 + dists / alpha) ** (-(alpha + 1.0) / 2.0)
-
-
-def _distances_and_q(z: Matrix, centroids: Matrix, alpha: float) -> tuple[Matrix, Matrix]:
+def _distances_and_q(z: Matrix, centroids: Matrix) -> tuple[Matrix, Matrix]:
     """Squared distances and the row-normalized Student-t assignments they give."""
     if centroids.shape[0] < 1:
         raise ValueError("need at least one centroid")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     dists = squared_distances(z, centroids)
-    kernels = _kernel(dists, alpha)
+    kernels = 1.0 / (1.0 + dists)
     return dists, kernels / kernels.sum(axis=1, keepdims=True)
 
 
-def soft_assign(z: Matrix, centroids: Matrix, alpha: float = 1.0) -> Matrix:
+def soft_assign(z: Matrix, centroids: Matrix) -> Matrix:
     """Student-t similarity between each point and each centroid, row-normalized."""
-    return _distances_and_q(z, centroids, alpha)[1]
+    return _distances_and_q(z, centroids)[1]
 
 
 def target_distribution(q: Matrix, s: float = 2.0) -> Matrix:
@@ -97,9 +92,8 @@ def kl_divergence(p: Matrix, q: Matrix) -> float:
     return float(terms.sum())
 
 
-def clustering_grads(
-    z: Matrix, centroids: Matrix, target: Matrix, alpha: float = 1.0
-) -> tuple[Matrix, Matrix, Matrix]:
+def clustering_grads(z: Matrix, centroids: Matrix,
+                     target: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Gradients of KL(target || Q(z, centroids)) with the target held fixed.
 
     Works for any fixed row-stochastic target: the sharpened self-training
@@ -112,10 +106,10 @@ def clustering_grads(
         raise ShapeMismatchError(
             f"target {target.shape} vs points {z.shape} x centroids {centroids.shape}"
         )
-    dists, q = _distances_and_q(z, centroids, alpha)
-    # d KL / d dist_ij = (target_ij - q_ij) (alpha+1) / (2 (alpha + dist_ij)),
+    dists, q = _distances_and_q(z, centroids)
+    # d KL / d dist_ij = (target_ij - q_ij) / (1 + dist_ij),
     # then d dist / d z_i = 2 (z_i - u_j) and d dist / d u_j = -2 (z_i - u_j).
-    w = (alpha + 1.0) * (target - q) / (alpha + dists)
+    w = 2.0 * (target - q) / (1.0 + dists)
     grad_z = w.sum(axis=1, keepdims=True) * z - w @ centroids
     grad_centroids = w.sum(axis=0)[:, None] * centroids - w.T @ z
     return q, grad_z, grad_centroids

@@ -140,17 +140,18 @@ class RunReport:
 class ClusterModel:
     """Encoder plus centroids, viewed as a map from inputs to soft assignments."""
 
-    def __init__(self, encoder: Network, centroids: np.ndarray, alpha: float = 1.0):
+    def __init__(self, encoder: Network, centroids: np.ndarray, alpha: float = TrainConfig.alpha):
+        if alpha != TrainConfig.alpha:
+            raise ValueError(f"alpha is fixed at {TrainConfig.alpha}, as in DEC; got {alpha}")
         self.encoder = encoder
         self.centroids = centroids
-        self.alpha = alpha
 
     def parameters(self) -> list[np.ndarray]:
         return [*self.encoder.parameters(), self.centroids]
 
     def predict(self, x: Matrix) -> Matrix:
         z = encode(self.encoder, x)
-        return soft_assign(z, self.centroids, self.alpha)
+        return soft_assign(z, self.centroids)
 
     def _kl_forward(self, x: Matrix, q_ref: Matrix):
         """Forward half of mean-row KL(q_ref || predict(x)): one forward and
@@ -162,7 +163,7 @@ class ClusterModel:
         """
         n = x.shape[0]
         z, caches = forward(self.encoder, x)
-        q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref, self.alpha)
+        q, grad_z, grad_centroids = clustering_grads(z, self.centroids, q_ref)
         grad_z /= n
         grad_centroids /= n
         return q, caches, grad_z, grad_centroids
@@ -358,9 +359,9 @@ def finetune(
     t0 = time.perf_counter()
 
     z = encode(encoder, data)
-    model = ClusterModel(encoder, _kmeans(z, k, cfg).centroids.copy(), cfg.alpha)
+    model = ClusterModel(encoder, _kmeans(z, k, cfg).centroids.copy())
     # At the first refresh the encoder has not moved since K-means embedded the data.
-    q_full = soft_assign(z, model.centroids, cfg.alpha)
+    q_full = soft_assign(z, model.centroids)
     # One optimizer per encoder layer, then one for the centroids.
     optimizers = [SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
                   for _ in range(len(encoder.layers) + 1)]

@@ -140,6 +140,19 @@ class TestTrainCommand:
         assert (out / "curves.csv").is_file()
         assert not (out / "embeddings.csv").exists()
 
+    def test_csv_with_byte_order_mark_and_blank_lines(self, tmp_path, idx_fixture):
+        # the mark hid the label column and a blank line was a ragged row: exit 2
+        save_csv(load_idx(*idx_fixture), tmp_path / "plain.csv")
+        text = (tmp_path / "plain.csv").read_text()
+        (tmp_path / "marked.csv").write_bytes(("\ufeff" + text + "\n").encode())
+        for name in ("plain", "marked"):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"data.format = csv\ndata.path = {tmp_path / name}.csv\n"
+                           "data.label_column = label\nk = 2\nmethod = kmeans\n")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "marked" / "assignments.csv").read_bytes()
+                == (tmp_path / "plain" / "assignments.csv").read_bytes())
+
     def test_rdec_end_to_end(self, tmp_path, idx_fixture, pretrained):
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
         out = tmp_path / "run"
@@ -932,6 +945,21 @@ class TestEvalCommand:
         assert main(["eval", str(path), str(path)]) == 0
         out = capsys.readouterr().out
         assert "acc: 1.000000" in out and "\n9223372036854775807,1.000000," in out
+
+    def test_gzipped_label_file(self, tmp_path, capsys):
+        # read with a plain open(), it was a UnicodeDecodeError, exit 1
+        (tmp_path / "a.csv").write_text("assignment\n1\n1\n0\n0\n")
+        (tmp_path / "l.csv.gz").write_bytes(gzip.compress(b"label\n0\n0\n1\n1\n"))
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv.gz")]) == 0
+        assert "acc: 1.000000" in capsys.readouterr().out
+
+    def test_byte_order_mark_before_a_headerless_label_file(self, tmp_path, capsys):
+        # the first value was skipped as a header: 4 assignments vs 3 labels, exit 2
+        (tmp_path / "a.csv").write_text("1\n1\n0\n0\n")
+        (tmp_path / "l.csv").write_bytes("\ufeff0\n0\n1\n1\n".encode())
+        assert cli._read_label_file(tmp_path / "l.csv").tolist() == [0, 0, 1, 1]
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 0
+        assert "acc: 1.000000" in capsys.readouterr().out
 
     def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("0\n1.5\n")

@@ -294,6 +294,31 @@ class TestLoadCsv:
             load_csv(path, label_column=label_column)
         assert str(info.value) == f"{path}: no feature columns in header"
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, compress):
+        # Excel's "CSV UTF-8" files start with U+FEFF; 'label' was not found
+        content = "\ufefflabel,f0,f1\n0,1.5,2\n1,3,4\n".encode()
+        path = tmp_path / "data.csv"
+        path.write_bytes(gzip.compress(content) if compress else content)
+        ds = load_csv(path, label_column="label")
+        np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [3.0, 4.0]])
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # a trailing blank line was a ragged row with 0 cells
+        path = tmp_path / "data.csv"
+        path.write_text("label,f0,f1\n0,1,2\n\n1,3,4\n\n")
+        ds = load_csv(path, label_column="label")
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_a_row_of_empty_cells_is_malformed(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n1,2,3\n,,\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: non-numeric cell '' in column 'a'"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n3\n")

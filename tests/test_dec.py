@@ -31,6 +31,25 @@ def test_squared_distances_bits_equal_the_literal_expansion(n, k, d):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, k, d", [(1, 1, 2), (64, 10, 10), (300, 7, 2)])
+def test_kernel_and_weights_are_the_general_formulas_at_alpha_one(n, k, d):
+    # DEC's Student-t kernel (1 + d/a)^(-(a+1)/2) and KL weight (a+1)(p-q)/(a+d),
+    # written out at a = 1; a numpy whose ** -1.0 is no exact reciprocal fails here
+    alpha = 1.0
+    rng = np.random.default_rng(n + k + d)
+    z, u = 3 * rng.standard_normal((n, d)), 3 * rng.standard_normal((k, d))
+    p = rng.random((n, k)) + 0.05
+    p /= p.sum(axis=1, keepdims=True)
+    dists = squared_distances(z, u)
+    kernels = (1.0 + dists / alpha) ** (-(alpha + 1.0) / 2.0)
+    q = kernels / kernels.sum(axis=1, keepdims=True)
+    w = (alpha + 1.0) * (p - q) / (alpha + dists)
+    want = (q, w.sum(axis=1, keepdims=True) * z - w @ u, w.sum(axis=0)[:, None] * u - w.T @ z)
+    assert soft_assign(z, u).tobytes() == q.tobytes()
+    for got, wanted in zip(clustering_grads(z, u, p), want):
+        assert got.tobytes() == wanted.tobytes()
+
+
 class TestSoftAssign:
     def test_equidistant_point_splits_evenly(self):
         z = np.array([[0.5, 0.0]])
@@ -42,7 +61,7 @@ class TestSoftAssign:
         # distances 0 and 1 with unit dof: kernels 1 and 1/2
         z = np.array([[0.0, 0.0]])
         centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-        q = soft_assign(z, centroids, alpha=1.0)
+        q = soft_assign(z, centroids)
         np.testing.assert_allclose(q, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_single_centroid(self):

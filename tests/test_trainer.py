@@ -177,6 +177,16 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="alpha"):
             TrainConfig(alpha=2.0)
 
+    def test_cluster_model_takes_alpha_only_at_one(self):
+        # perfbench's workloads build ClusterModel(encoder, centroids, cfg.alpha)
+        encoder, _ = build_network(4, 2, seed=0)
+        x = np.random.default_rng(0).random((5, 4))
+        model = ClusterModel(encoder, np.eye(2), TrainConfig().alpha)
+        assert model.predict(x).tobytes() == ClusterModel(encoder, np.eye(2)).predict(x).tobytes()
+        for alpha in (2.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha is fixed at 1.0"):
+                ClusterModel(encoder, np.eye(2), alpha)
+
     def test_accepts_zero_momentum(self):
         fast_config(pretrain_momentum=0.0, finetune_momentum=0.0)
 
