@@ -6,7 +6,8 @@ header sizes a buffer. Pixels are scaled to [0, 1] by dividing by 255, the
 contract of the reconstruction loss and the shipped defaults; ``read_idx``
 keeps bytes, so rows are selected by label before the one float64 copy of
 the kept rows, and ``save_idx`` writes bytes back as read. ``parse_int64``
-reads labels exactly. ``load_csv`` converts each CSV row as it reads it.
+reads labels exactly. ``load_csv`` converts each CSV row as it reads it and
+skips blank lines, before the header row and after it.
 Every CSV file rdec writes goes through ``write_csv`` (``\\n`` line ends).
 A malformed input file raises ``DataFormatError``.
 """
@@ -202,7 +203,7 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
 
 
 def load_csv(path, label_column: str | None = None, name: str = "csv") -> Dataset:
-    """Load a rectangular numeric CSV with a header row; blank lines after it are skipped.
+    """Load a rectangular numeric CSV with a header row; blank lines are skipped.
 
     When label_column is given, that column becomes the integer labels (each
     an int64 integer, parsed exactly by ``parse_int64``) and the remaining
@@ -212,10 +213,11 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     """
     with _open_maybe_gzip(path, "rt", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        if not header:  # blank lines before the header row; only blank lines leave it empty
+            header = next((row for row in reader if row), [])
         label_idx = None
         if label_column is not None:
             if label_column not in header:
@@ -224,7 +226,7 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
         if len(header) == (0 if label_idx is None else 1):
             raise DataFormatError(f"{path}: no feature columns in header")
         rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(reader, start=reader.line_num + 1):
             if not row:  # a blank line
                 continue
             if len(row) != len(header):

@@ -6,7 +6,8 @@ assignments are sharpened into a frequency-normalized target, and the
 model is trained to match that target under a KL objective. The gradient
 helper differentiates the KL with respect to both the embedded points and
 the centroids while the target stays fixed, and returns the assignments
-it computed on the way, so one distance pass serves both.
+it computed on the way, so one distance pass serves both. The sharpening
+exponent has no default: ``TrainConfig.s`` states it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def soft_assign(z: Matrix, centroids: Matrix) -> Matrix:
     return _distances_and_q(z, centroids)[1]
 
 
-def target_distribution(q: Matrix, s: float = 2.0) -> Matrix:
+def target_distribution(q: Matrix, s: float) -> Matrix:
     """Sharpen soft assignments into the self-training target p, shape (n, k).
 
     Each q is raised to the power s and divided by its soft cluster

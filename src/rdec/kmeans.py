@@ -1,4 +1,5 @@
-"""Lloyd's algorithm with restarts, used for centroid initialization and baselines."""
+"""Lloyd's algorithm with restarts, for centroid initialization and baselines; the
+restart count has no default, since ``TrainConfig.kmeans_restarts`` states it."""
 
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ def _lloyd(points, columns, sq_norms, k: int, rng: np.random.Generator, max_iter
 def kmeans(
     points: np.ndarray,
     k: int,
-    restarts: int = 20,
+    restarts: int,
     max_iter: int = 300,
     seed: int = 0,
 ) -> KMeansResult:

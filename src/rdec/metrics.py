@@ -1,10 +1,13 @@
-"""Clustering quality against ground truth: ACC, adjusted Rand index, per-class PRF."""
+"""Clustering quality against ground truth: ACC, adjusted Rand index, per-class PRF;
+ACC's exact solver takes at most ``MAX_CLUSTERS`` clusters or labels."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
+
+MAX_CLUSTERS = 10_000
 
 
 def _as_label_array(values, name: str) -> np.ndarray:
@@ -108,7 +111,7 @@ def _best_assignment(weights: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def accuracy(labels, assignments, max_clusters: int = 10_000):
+def accuracy(labels, assignments):
     """Best-mapping clustering accuracy.
 
     Maximizes the matched fraction over one-to-one cluster-to-label
@@ -123,8 +126,8 @@ def accuracy(labels, assignments, max_clusters: int = 10_000):
     if n == 0:
         raise ValueError("ACC needs at least one sample; labels and assignments are empty")
     size = max(counts.shape)
-    if size > max_clusters:
-        raise ValueError(f"{size} clusters exceeds the exact-solver cap {max_clusters}")
+    if size > MAX_CLUSTERS:
+        raise ValueError(f"{size} clusters exceeds the exact-solver cap {MAX_CLUSTERS}")
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
     cols = _best_assignment(padded)

@@ -3,8 +3,9 @@
 Networks are plain stacks of affine layers with optional ReLU. The
 canonical clustering architecture is ``d-500-500-2000-L`` for the encoder
 and its mirror for the decoder, with ReLU on the internal layers and
-linear embedding/output layers.
-"""
+linear embedding/output layers. The full-data passes, ``encode`` and
+``reconstruction_loss``, stream ``ENCODE_CHUNK`` rows at a time; SGD
+momentum has no default, since ``TrainConfig`` states it."""
 
 from __future__ import annotations
 
@@ -178,6 +179,16 @@ def encode(net: Network, x: Matrix) -> Matrix:
     return out
 
 
+def reconstruction_loss(autoencoder: Network, data: Matrix) -> float:
+    total = 0.0
+    for start in range(0, data.shape[0], ENCODE_CHUNK):
+        x = data[start : start + ENCODE_CHUNK]
+        diff = encode(autoencoder, x)
+        diff -= x
+        total += float(np.sum(np.square(diff, out=diff)))
+    return total / data.size
+
+
 def _check_grads(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     if len(params) != len(grads):
         raise ShapeMismatchError(
@@ -200,7 +211,7 @@ class SgdMomentum:
     """Classical momentum, v <- beta v - lr g; p <- p + v, applied in
     ``STEP_CHUNK`` pieces of each parameter, which must be C-contiguous."""
 
-    def __init__(self, lr: float, momentum: float = 0.9):
+    def __init__(self, lr: float, momentum: float):
         self.lr = lr
         self.momentum = momentum
         self.velocities: list[np.ndarray] | None = None

@@ -29,7 +29,7 @@ import numpy as np
 from . import metrics, vat
 from .dec import clustering_grads, kl_divergence, soft_assign, target_distribution
 from .kmeans import kmeans
-from .network import ENCODE_CHUNK, Network, SgdMomentum, backward, encode, forward
+from .network import Network, SgdMomentum, backward, encode, forward, reconstruction_loss
 from .tensor import Matrix, check_finite, mse_loss
 from .vat import adversarial_perturbation, vat_loss
 
@@ -222,16 +222,6 @@ def _endless_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield from _epoch_batches(n, batch_size, rng)
 
 
-def _reconstruction_loss(autoencoder: Network, data: Matrix) -> float:
-    total = 0.0
-    for start in range(0, data.shape[0], ENCODE_CHUNK):
-        x = data[start : start + ENCODE_CHUNK]
-        diff = encode(autoencoder, x)
-        diff -= x
-        total += float(np.sum(np.square(diff, out=diff)))
-    return total / data.size
-
-
 def _stepped_backward(net: Network, optimizers: list[SgdMomentum], caches: list[Matrix],
                       grad_out: Matrix, added: list[np.ndarray] | None = None) -> None:
     """Backpropagate grad_out, stepping layer i with ``optimizers[i]`` as
@@ -301,7 +291,7 @@ def pretrain(
         epoch_loss = float(np.mean(losses))
         if progress is not None:
             progress({"phase": "pretrain", "epoch": epoch, "loss": epoch_loss})
-    return _reconstruction_loss(autoencoder, data)
+    return reconstruction_loss(autoencoder, data)
 
 
 def _step(model: ClusterModel, optimizers: list[SgdMomentum], x: Matrix, target: Matrix,

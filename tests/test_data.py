@@ -312,6 +312,29 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
         assert ds.labels.tolist() == [0, 1]
 
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        # the first blank line was read as an empty header
+        path = tmp_path / "data.csv"
+        path.write_text("\nlabel,a\n0,1\n1,2\n")
+        ds = load_csv(path, label_column="label")
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+        assert ds.labels.tolist() == [0, 1]
+        np.testing.assert_array_equal(load_csv(path).features, [[0.0, 1.0], [1.0, 2.0]])
+
+    def test_zero_byte_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: empty file"
+
+    def test_lines_are_counted_from_the_top_of_the_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n\nlabel,a\n0,1\n\n1,oops\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, label_column="label")
+        assert str(info.value) == f"{path}:6: non-numeric cell 'oops' in column 'a'"
+
     def test_a_row_of_empty_cells_is_malformed(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b,c\n1,2,3\n,,\n")

@@ -71,13 +71,13 @@ def test_k_equals_n_zero_inertia(rng):
 def test_errors():
     points = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        kmeans(points, k=0)
+        kmeans(points, k=0, restarts=1)
     with pytest.raises(ValueError):
-        kmeans(points, k=4)
+        kmeans(points, k=4, restarts=1)
     with pytest.raises(ValueError):
         kmeans(points, k=2, restarts=0)
     with pytest.raises(ValueError, match=r"points have no columns, got shape \(3, 0\)"):
-        kmeans(np.zeros((3, 0)), k=2)
+        kmeans(np.zeros((3, 0)), k=2, restarts=1)
 
 
 def test_inertia_history_non_increasing(rng):
@@ -110,7 +110,7 @@ def test_non_finite_points_rejected_before_any_restart():
     points[7, 0] = np.inf
     points[9, 2] = -np.inf
     with pytest.raises(ValueError, match="3 non-finite"):
-        kmeans(points, k=2)
+        kmeans(points, k=2, restarts=1)
 
 
 # Reference: a plain Lloyd step (argmin over (n, k) distances, masked mean

@@ -322,7 +322,7 @@ class TestChunkedMomentumOracle:
         for p in (np.ones((4, 8))[:, ::2], np.asfortranarray(np.ones((3, 5)))):
             before = p.copy()
             with pytest.raises(ValueError, match="C-contiguous"):
-                SgdMomentum(lr=0.1).step([p], [np.ones(p.shape)])
+                SgdMomentum(lr=0.1, momentum=0.9).step([p], [np.ones(p.shape)])
             assert_bitwise(p, before)
 
 

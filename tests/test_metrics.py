@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdec import metrics
 from rdec.metrics import (
     _best_assignment,
     accuracy,
@@ -113,9 +114,10 @@ class TestAccuracy:
         )
         assert acc2 == pytest.approx(base, abs=1e-12)
 
-    def test_cluster_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            accuracy([0, 1, 2], [0, 1, 2], max_clusters=2)
+    def test_cluster_cap(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_CLUSTERS", 2)
+        with pytest.raises(ValueError, match="3 clusters exceeds the exact-solver cap 2"):
+            accuracy([0, 1, 2], [0, 1, 2])
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="empty"):

@@ -303,7 +303,7 @@ class TestOptimizers:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            SgdMomentum(lr=0.1).step([np.ones(2)], [np.ones(3)])
+            SgdMomentum(lr=0.1, momentum=0.9).step([np.ones(2)], [np.ones(3)])
         with pytest.raises(ShapeMismatchError):
             Adam().step([np.ones(2), np.ones(2)], [np.ones(2)])
 

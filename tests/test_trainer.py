@@ -1,12 +1,14 @@
 import copy
+import inspect
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from rdec import dec, trainer
+from rdec import dec, network, trainer
 from rdec.dec import kl_divergence, target_distribution
+from rdec.kmeans import kmeans
 from rdec.metrics import accuracy
 from rdec.network import (
     Layer,
@@ -113,6 +115,15 @@ class TestLabelChangeRate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             label_change_rate([0, 1], [0, 1, 2])
+
+
+def test_only_train_config_states_the_training_defaults():
+    # K-means restarts, SGD momentum and the sharpening exponent come from
+    # TrainConfig's fields; ACC's cluster cap is a module constant.
+    for function, name in ((kmeans, "restarts"), (SgdMomentum, "momentum"),
+                           (target_distribution, "s")):
+        assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
+    assert "max_clusters" not in inspect.signature(accuracy).parameters
 
 
 class TestConfigValidation:
@@ -292,6 +303,28 @@ class TestPretrain:
             pretrain(encoder, decoder, data, cfg)
         for got, want in zip(encoder.parameters() + decoder.parameters(), start, strict=True):
             np.testing.assert_array_equal(got, want)
+
+    def test_final_loss_streams_network_chunks(self, monkeypatch, rng):
+        # trainer held its own copy of ENCODE_CHUNK and encoded all 100 rows
+        # in one call; the final loss now streams network's chunks.
+        monkeypatch.setattr(network, "ENCODE_CHUNK", 16)
+        real, chunks = network.encode, []
+
+        def recording_encode(net, x):
+            chunks.append(x.shape[0])
+            return real(net, x)
+
+        for module in (network, trainer):
+            monkeypatch.setattr(module, "encode", recording_encode)
+        data = rng.random((100, 2))
+        encoder, decoder = small_encoder(0), small_decoder(0)
+        loss = pretrain(encoder, decoder, data, fast_config(pretrain_epochs=0))
+        assert chunks == [16] * 6 + [4]
+        autoencoder, want = Network(encoder.layers + decoder.layers), 0.0
+        for start in range(0, 100, 16):
+            x = data[start : start + 16]
+            want += float(np.sum(np.square(forward(autoencoder, x)[0] - x)))
+        assert loss == want / data.size
 
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
