@@ -15,8 +15,10 @@ beside it, ``manifest.json`` last, and one rename publishes it. Existing
 run directories, ``eval --out``'s included, are never overwritten; a
 timestamp suffix is appended instead.
 
-Exit codes: 0 success, 1 runtime failure, 2 config/validation failure or a
-malformed input file (data, label or model; a header claiming more bytes
+``eval`` reads one-column CSV files, its line numbers counting file lines.
+Exit codes: 0 success, 1 runtime failure, 2 config/validation failure (an
+empty required key included) or a malformed input file (data, label or
+model, a cut or corrupt gzip stream included; a header claiming more bytes
 than the file holds is truncated), IDX image files of different widths
 merged, or ``eval`` on fewer than two values.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
@@ -48,12 +50,11 @@ from .data import (
     DataFormatError,
     Dataset,
     SubsampleSpec,
-    _open_maybe_gzip,
     concat,
     filter_classes,
     load_csv,
-    parse_int64,
     read_idx,
+    read_labels,
     save_csv,
     save_idx,
     scale_pixels,
@@ -140,7 +141,7 @@ class ExperimentConfig:
         return self.settings.get(key, default)
 
     def require(self, key):
-        if self.settings.get(key) in (None, []):
+        if self.settings.get(key) in (None, [], ""):
             raise ConfigError(f"config key {key!r} is missing or empty")
         return self.settings[key]
 
@@ -288,7 +289,7 @@ def _publish(args, cfg: ExperimentConfig | None, input_paths: list[Path]):
     ``manifest.json`` is written last and ``stage`` renamed to ``out``; if
     either raises, or the block does, ``stage`` is removed.
     """
-    base = Path(cfg.get("out", f"runs/{args.command}") if args.out is None else args.out)
+    base = Path((cfg.get("out") or f"runs/{args.command}") if args.out is None else args.out)
     out = base  # as a Path, a trailing slash cannot put the suffix inside base
     if out.exists():
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -417,17 +418,13 @@ def cmd_train(args) -> int:
         encoder, _ = load_model(cfg.require("model"))
         latent = cfg.get("latent_dim")
         if latent is not None and encoder.output_dim != latent:
-            raise ConfigError(
-                f"model embeds to {encoder.output_dim} dims, config says {latent}"
-            )
+            raise ConfigError(f"model embeds to {encoder.output_dim} dims, config says {latent}")
     ds = load_dataset(cfg, source)
     k = cfg.get("k", 10)
     if k > ds.n:
         raise ConfigError(f"k={k} exceeds the {ds.n} rows the data supplies")
     if encoder is not None and encoder.input_dim != ds.dim:
-        raise ConfigError(
-            f"model expects {encoder.input_dim}-dim inputs, dataset has {ds.dim}"
-        )
+        raise ConfigError(f"model expects {encoder.input_dim}-dim inputs, dataset has {ds.dim}")
 
     assignments, report = run_clustering(
         method, ds.features, k, cfg.train, encoder=encoder,
@@ -461,33 +458,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_label_file(path) -> np.ndarray:
-    """One exact int64 integer per non-blank line, after an optional non-numeric header."""
-    values = []
-    with _open_maybe_gzip(path, "rt", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = parse_int64(text)
-            except ValueError:
-                if lineno == 1:  # header row
-                    continue
-                value = None
-            if value is None:
-                raise DataFormatError(f"{path}:{lineno}: {text!r} is not an int64 integer")
-            values.append(value)
-    return np.array(values, dtype=np.int64)
-
-
 def cmd_eval(args) -> int:
-    assignments = _read_label_file(args.assignments)
-    labels = _read_label_file(args.labels)
+    assignments = read_labels(args.assignments)
+    labels = read_labels(args.labels)
     if len(assignments) != len(labels):
-        raise ConfigError(
-            f"length mismatch: {len(assignments)} assignments vs {len(labels)} labels"
-        )
+        raise ConfigError(f"length mismatch: {len(assignments)} assignments vs "
+                          f"{len(labels)} labels")
     if len(labels) == 0:
         raise ConfigError(f"no values in {args.assignments} or {args.labels}")
     if len(labels) == 1:

@@ -1,15 +1,16 @@
-"""Dataset ingestion (IDX image files, labeled CSV) and imbalanced subsampling.
+"""Dataset ingestion (IDX, CSV and label files) and imbalanced subsampling.
 
-IDX reads are big-endian and magic-checked, gunzipped when the file starts
-with the gzip signature; ``read_exact`` reads them and model files, so no
-header sizes a buffer. Pixels are scaled to [0, 1] by dividing by 255, the
-contract of the reconstruction loss and the shipped defaults; ``read_idx``
-keeps bytes, so rows are selected by label before the one float64 copy of
-the kept rows, and ``save_idx`` writes bytes back as read. ``parse_int64``
-reads labels exactly. ``load_csv`` converts each CSV row as it reads it and
-skips blank lines, before the header row and after it.
-Every CSV file rdec writes goes through ``write_csv`` (``\\n`` line ends).
-A malformed input file raises ``DataFormatError``.
+An input file is gunzipped when it starts with the gzip signature and is
+read by one of two readers. ``read_exact`` reads bytes: IDX headers and
+payloads (big-endian, magic-checked) and model files, so no header sizes a
+buffer. ``_rows`` reads text: the non-blank CSV rows, each with the file line
+it ends on, for ``load_csv`` and for ``read_labels``, which reads a label file
+as a one-column CSV file; ``parse_int64`` reads labels exactly. Pixels are
+scaled to [0, 1] by dividing by 255; ``read_idx`` keeps bytes, so rows are
+selected by label before the one float64 copy of the kept rows, and
+``save_idx`` writes bytes back as read. Every CSV file rdec writes goes
+through ``write_csv`` (``\\n`` line ends). A malformed input file, a cut or
+corrupt gzip stream included, raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import csv
 import gzip
 import math
 import struct
+import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -81,12 +84,16 @@ class SubsampleSpec:
             raise ValueError(f"subsample seed must be >= 0, got {self.seed}")
 
 
+@contextmanager
 def _open_maybe_gzip(path, mode="rb", **text_options):
+    """The file, gunzipped if gzip by content; a bad gzip stream raises DataFormatError."""
     with open(path, "rb") as probe:
-        head = probe.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, mode, **text_options)
-    return open(path, mode, **text_options)
+        opener = gzip.open if probe.read(2) == b"\x1f\x8b" else open
+    try:
+        with opener(path, mode, **text_options) as fh:
+            yield fh
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"{path}: bad gzip stream: {exc}") from None
 
 
 READ_CHUNK = 1 << 24  # bytes per read in read_exact
@@ -114,25 +121,20 @@ def parse_int64(text: str) -> int | None:
     return int(number) if exact and -2**63 <= number < 2**63 else None
 
 
-def _read_be32(fh, path, what: str) -> int:
-    data = fh.read(4)
-    if len(data) != 4:
-        raise DataFormatError(f"{path}: truncated while reading {what}")
-    return struct.unpack(">i", data)[0]
-
-
 def _read_idx(path, magic: int, what: str) -> np.ndarray:
     """The uint8 payload of an IDX file, shaped by the dimensions in its header;
     the low byte of the magic number is the number of dimensions."""
     with _open_maybe_gzip(path) as fh:
-        found = _read_be32(fh, path, "magic")
+        (found,) = struct.unpack(">i", read_exact(fh, 4, f"{what} magic"))
         if found != magic:
             raise DataFormatError(f"{path}: bad {what} magic 0x{found:08x} at offset 0, "
                                   f"expected 0x{magic:08x}")
-        shape = [_read_be32(fh, path, f"{what} dimension {i}") for i in range(magic & 0xFF)]
+        ndim = magic & 0xFF
+        shape = list(struct.unpack(f">{ndim}i", read_exact(fh, 4 * ndim, f"{what} dimensions")))
         if min(shape) < 0:
             raise DataFormatError(f"{path}: negative {what} dimension in header {shape}")
         raw = read_exact(fh, math.prod(shape), f"{what} data")
+        fh.read(1)  # a gzip stream's end, where its CRC is checked; bytes past it are ignored
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
@@ -202,8 +204,36 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
+def _rows(path):
+    """``(line, cells)`` for each non-blank row of a CSV file, ``line`` the file
+    line the row ends on; a blank row has no cells, or one of only whitespace."""
+    with _open_maybe_gzip(path, "rt", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if len(cells) > 1 or cells and cells[0].strip():
+                yield reader.line_num, cells
+
+
+def read_labels(path) -> np.ndarray:
+    """One exact int64 integer per non-blank row of a one-column CSV file, after
+    an optional non-numeric header row."""
+    values = []
+    for index, (lineno, cells) in enumerate(_rows(path)):
+        text = ",".join(cells).strip()  # a row of several cells is no integer either
+        try:
+            value = parse_int64(text)
+        except ValueError:
+            if index == 0:  # header row
+                continue
+            value = None
+        if value is None:
+            raise DataFormatError(f"{path}:{lineno}: {text!r} is not an int64 integer")
+        values.append(value)
+    return np.array(values, dtype=np.int64)
+
+
 def load_csv(path, label_column: str | None = None, name: str = "csv") -> Dataset:
-    """Load a rectangular numeric CSV with a header row; blank lines are skipped.
+    """Load a rectangular numeric CSV with a header row; ``_rows`` skips blank rows.
 
     When label_column is given, that column becomes the integer labels (each
     an int64 integer, parsed exactly by ``parse_int64``) and the remaining
@@ -211,53 +241,46 @@ def load_csv(path, label_column: str | None = None, name: str = "csv") -> Datase
     first malformed one in file order (ragged, a non-numeric or non-finite
     feature, a label not an int64) raises DataFormatError.
     """
-    with _open_maybe_gzip(path, "rt", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        if not header:  # blank lines before the header row; only blank lines leave it empty
-            header = next((row for row in reader if row), [])
-        label_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise DataFormatError(f"{path}: no column named {label_column!r} in header")
-            label_idx = header.index(label_column)
-        if len(header) == (0 if label_idx is None else 1):
+    rows = _rows(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    label_idx = None
+    if label_column is not None:
+        if label_column not in header:
+            raise DataFormatError(f"{path}: no column named {label_column!r} in header")
+        if len(header) == 1:  # a header row holds at least one cell
             raise DataFormatError(f"{path}: no feature columns in header")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=reader.line_num + 1):
-            if not row:  # a blank line
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: ragged row with {len(row)} cells, "
-                    f"header has {len(header)}"
-                )
-            try:
-                values = np.array(row, dtype=np.float64)
-            except ValueError:
-                for col, cell in enumerate(row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataFormatError(f"{path}:{lineno}: non-numeric cell {cell!r} "
-                                              f"in column {header[col]!r}") from None
-                raise
-            if label_idx is not None:
-                labels.append(parse_int64(row[label_idx]))
-                if labels[-1] is None:
-                    raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} "
-                                          f"in column {label_column!r} is not an int64 integer")
-            if not np.isfinite(values).all():  # the label, if any, is an int64 by now
-                col = int(np.isfinite(values).argmin())
-                raise DataFormatError(f"{path}:{lineno}: non-finite cell {row[col]!r} "
-                                      f"in column {header[col]!r}")
-            rows.append(values if label_idx is None else np.delete(values, label_idx))
-    if not rows:
+        label_idx = header.index(label_column)
+    features, labels = [], []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}:{lineno}: ragged row with {len(row)} cells, "
+                                  f"header has {len(header)}")
+        try:
+            values = np.array(row, dtype=np.float64)
+        except ValueError:
+            for col, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                          f"in column {header[col]!r}") from None
+            raise
+        if label_idx is not None:
+            labels.append(parse_int64(row[label_idx]))
+            if labels[-1] is None:
+                raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} "
+                                      f"in column {label_column!r} is not an int64 integer")
+        if not np.isfinite(values).all():  # the label, if any, is an int64 by now
+            col = int(np.isfinite(values).argmin())
+            raise DataFormatError(f"{path}:{lineno}: non-finite cell {row[col]!r} "
+                                  f"in column {header[col]!r}")
+        features.append(values if label_idx is None else np.delete(values, label_idx))
+    if not features:
         raise DataFormatError(f"{path}: no data rows")
     labels = None if label_idx is None else np.array(labels, dtype=np.int64)
-    return Dataset(features=np.stack(rows), labels=labels, name=name)
+    return Dataset(features=np.stack(features), labels=labels, name=name)
 
 
 def _csv_cell(value) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdec import cli, trainer
+from rdec import cli, data, trainer
 from rdec.cli import PARSERS, SCHEMA, TRAINING_KEYS, ExperimentConfig, load_config, main
 from rdec.data import (
     DataFormatError,
@@ -195,6 +195,28 @@ class TestTrainCommand:
         assert keys[0] in capsys.readouterr().err
         assert not out.exists()
 
+    # an empty model or data.path read as the working directory ("input files not
+    # found: ."), an empty data.format as an unknown format
+    @pytest.mark.parametrize("assignments", [("model=",), ("data.format=",),
+                                             ("data.format=csv", "data.path=")])
+    def test_empty_key_exits_2(self, tmp_path, idx_fixture, capsys, assignments):
+        cfg = write_config(tmp_path, idx_fixture)
+        out = tmp_path / "r"
+        sets = [arg for assignment in assignments for arg in ("--set", assignment)]
+        assert main(["train", "--config", str(cfg), *sets, "--out", str(out)]) == 2
+        key = assignments[-1].removesuffix("=")
+        assert capsys.readouterr().err == f"error: config key {key!r} is missing or empty\n"
+        assert not out.exists()
+
+    def test_empty_out_falls_back_to_runs_command(self, tmp_path, idx_fixture, monkeypatch):
+        # it published a hidden ".-<timestamp>" directory in the working directory
+        cfg = write_config(tmp_path, idx_fixture)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
+                     "--set", "out="]) == 0
+        assert (tmp_path / "runs" / "train" / "manifest.json").is_file()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
     def test_image_files_of_different_widths_exit_2(self, tmp_path, idx_fixture, capsys):
         # 24-pixel images, then the fixture's 16-pixel ones
         wide, wide_labels = tmp_path / "wide", tmp_path / "wide-labels"
@@ -320,7 +342,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("case", ["idx-bad-magic", "idx-truncated", "csv-ragged",
                                       "csv-non-numeric", "csv-fraction-label",
                                       "csv-non-finite", "idx-oversized-header",
-                                      "idx-oversized-header-gz"])
+                                      "idx-oversized-header-gz", "idx-cut-gz"])
     def test_malformed_data_file_exits_2(self, tmp_path, idx_fixture, capsys, command,
                                          case):
         img, lab = idx_fixture
@@ -335,6 +357,11 @@ class TestTrainCommand:
                 bad.write_bytes(gzip.compress(content) if case.endswith("gz") else content)
                 message = (f"{bad}: truncated image data, wanted 2305843008139952128 bytes, "
                            "got 100")
+            elif case == "idx-cut-gz":  # it was a bare EOFError naming no file, exit 1
+                content = gzip.compress(img.read_bytes())
+                bad.write_bytes(content[: len(content) // 2])
+                message = (f"{bad}: bad gzip stream: Compressed file ended before the "
+                           "end-of-stream marker was reached")
             else:
                 bad.write_bytes(img.read_bytes()[:-5])
                 message = f"{bad}: truncated image data, wanted 1920 bytes, got 1915"
@@ -940,7 +967,7 @@ class TestEvalCommand:
         values = ["9007199254740993", "-9223372036854775808", "9223372036854775807"]
         path = tmp_path / "l.csv"
         path.write_text("label\n" + "\n".join(values) + "\n3.0\n1e3\n")
-        assert cli._read_label_file(path).tolist() == [*map(int, values), 3, 1000]
+        assert data.read_labels(path).tolist() == [*map(int, values), 3, 1000]
         path.write_text("\n".join(values * 2) + "\n")
         assert main(["eval", str(path), str(path)]) == 0
         out = capsys.readouterr().out
@@ -953,18 +980,26 @@ class TestEvalCommand:
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv.gz")]) == 0
         assert "acc: 1.000000" in capsys.readouterr().out
 
+    def test_header_after_a_blank_line(self, tmp_path, capsys):
+        # the header was read as a value: "a.csv:2: 'assignment' is not an int64 integer"
+        (tmp_path / "a.csv").write_text("\nassignment\n1\n0\n1\n")
+        # a line of whitespace is blank, before the header and after it
+        (tmp_path / "l.csv").write_text("  \nlabel\n1\n \t\n0\n1\n")
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 0
+        assert "acc: 1.000000" in capsys.readouterr().out
+
     def test_byte_order_mark_before_a_headerless_label_file(self, tmp_path, capsys):
         # the first value was skipped as a header: 4 assignments vs 3 labels, exit 2
         (tmp_path / "a.csv").write_text("1\n1\n0\n0\n")
         (tmp_path / "l.csv").write_bytes("\ufeff0\n0\n1\n1\n".encode())
-        assert cli._read_label_file(tmp_path / "l.csv").tolist() == [0, 0, 1, 1]
+        assert data.read_labels(tmp_path / "l.csv").tolist() == [0, 0, 1, 1]
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 0
         assert "acc: 1.000000" in capsys.readouterr().out
 
     def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("0\n1.5\n")
         with pytest.raises(DataFormatError, match=r"l\.csv:2: '1\.5' is not an int64 integer$"):
-            cli._read_label_file(tmp_path / "l.csv")
+            data.read_labels(tmp_path / "l.csv")
 
 
 class TestSubsampleCommand:

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -15,6 +16,7 @@ from rdec.data import (
     load_csv,
     load_idx,
     read_idx,
+    read_labels,
     save_csv,
     save_idx,
     scale_pixels,
@@ -113,7 +115,7 @@ class TestLoadIdx:
 
     @pytest.mark.parametrize("which, keep, message", [
         ("labels", 9, "truncated label data, wanted 2 bytes, got 1"),
-        ("images", 10, "truncated while reading image dimension 1"),
+        ("images", 10, "truncated image dimensions, wanted 12 bytes, got 6"),
     ])
     def test_truncated_labels_or_header(self, tmp_path, which, keep, message):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
@@ -121,6 +123,34 @@ class TestLoadIdx:
         path.write_bytes(path.read_bytes()[:keep])  # the headers are 16 and 8 bytes
         with pytest.raises(DataFormatError, match=message):
             load_idx(img, lab)
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("cut", "Compressed file ended before the end-of-stream marker was reached"),
+        ("flipped", "CRC check failed 0x"),
+    ], ids=["cut", "flipped"])
+    def test_damaged_gzip_is_a_format_error_naming_the_file(self, tmp_path, damage, reason):
+        # cut, it was a bare EOFError (exit 1) naming no file; with one byte
+        # flipped it loaded, one pixel changed, as the CRC was never read
+        pixels = np.arange(200, dtype=np.uint8).reshape(50, 2, 2)
+        img, lab = write_idx_pair(tmp_path, pixels, [0] * 50)
+        # a stored deflate block holds the file's bytes as they are
+        content = bytearray(gzip.compress(img.read_bytes(), compresslevel=0))
+        if damage == "cut":
+            content = content[: len(content) // 2]
+        else:
+            content[len(content) // 2] ^= 1
+        img.write_bytes(bytes(content))
+        with pytest.raises(DataFormatError) as info:
+            read_idx(img, lab)
+        assert str(info.value).startswith(f"{img}: bad gzip stream: {reason}")
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_bytes_past_the_payload_are_ignored(self, tmp_path, gz):
+        pixels = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+        img, lab = write_idx_pair(tmp_path, pixels, [0, 1])
+        content = img.read_bytes() + b"trailing"
+        img.write_bytes(gzip.compress(content) if gz else content)
+        assert read_idx(img, lab).features.tobytes() == pixels.tobytes()
 
     def test_negative_dimension_is_a_format_error(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
@@ -292,7 +322,9 @@ class TestLoadCsv:
         path.write_text(text)
         with pytest.raises(DataFormatError) as info:
             load_csv(path, label_column=label_column)
-        assert str(info.value) == f"{path}: no feature columns in header"
+        # a file of blank lines has no header row at all
+        message = "no feature columns in header" if text.strip() else "empty file"
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
     def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, compress):
@@ -334,6 +366,14 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError) as info:
             load_csv(path, label_column="label")
         assert str(info.value) == f"{path}:6: non-numeric cell 'oops' in column 'a'"
+
+    def test_a_quoted_cell_spanning_lines_counts_its_lines(self, tmp_path):
+        # records were counted, not lines: the bad row was reported as line 3
+        path = tmp_path / "data.csv"
+        path.write_text('a,b\n"1\n",2\n3,oops\n')
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:4: non-numeric cell 'oops' in column 'b'"
 
     def test_a_row_of_empty_cells_is_malformed(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -425,6 +465,47 @@ class TestLoadCsv:
         back = load_csv(tmp_path / read, label_column="label")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+# One-column files that both text readers read as the values 1, 2, 3.
+AWKWARD_TEXT = {
+    "gzip": "v\n1\n2\n3\n",
+    "byte-order-mark": "\ufeffv\n1\n2\n3\n",
+    "blank-lines": "\n \t\nv\n\n1\n  \n2\n\n3\n\n",
+    "crlf": "v\r\n1\r\n\r\n2\r\n3\r\n",
+    "quoted-cell-spanning-lines": 'v\n"1\n"\n2\n3\n',
+}
+
+
+@pytest.mark.parametrize("case", AWKWARD_TEXT)
+@pytest.mark.parametrize("read, values, bad", [
+    (lambda path: load_csv(path).features.ravel().tolist(), [1.0, 2.0, 3.0],
+     "non-numeric cell 'oops' in column 'v'"),
+    (lambda path: read_labels(path).tolist(), [1, 2, 3], "'oops' is not an int64 integer"),
+], ids=["load_csv", "read_labels"])
+def test_the_text_readers_agree(tmp_path, case, read, values, bad):
+    text = AWKWARD_TEXT[case]
+    path = tmp_path / "in.csv"
+    encode = (lambda text: gzip.compress(text.encode())) if case == "gzip" else str.encode
+    path.write_bytes(encode(text))
+    assert read(path) == values
+    # a bad row after the file's last line is reported on the line after it
+    path.write_bytes(encode(text + "oops\n"))
+    lineno = text.count("\n") + 1
+    with pytest.raises(DataFormatError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{lineno}: {bad}"
+
+
+@pytest.mark.parametrize("read", [load_csv, read_labels])
+def test_a_cut_gzip_text_file_is_a_format_error_naming_it(tmp_path, read):
+    # it was a bare EOFError (exit 1) naming no file
+    content = gzip.compress("".join(f"{i}\n" for i in range(1000)).encode())
+    path = tmp_path / "in.csv.gz"
+    path.write_bytes(content[: len(content) // 2])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: bad gzip stream: "
+                                              "Compressed file ended"):
+        read(path)
 
 
 class TestFilterConcat:
