@@ -9,18 +9,19 @@ KEY=VALUE``: the values are parsed as further config lines (source
 ``--set``, line N for the N-th value) and replace the file's values.
 Every run directory is self-describing: it holds the command, content
 hashes of all input files and of every file it holds, and, for commands
-that read a config, a copy of it, the resolved settings and the seed. It
-appears whole or not at all: its files go to a hidden staging directory
-beside it, ``manifest.json`` last, and one rename publishes it. Existing
-run directories, ``eval --out``'s included, are never overwritten; a
-timestamp suffix is appended instead.
+that read a config, a copy of it, the resolved settings (``--out`` as
+``out``) and the seed. It appears whole or not at all: its files go to a
+hidden staging directory beside it, ``manifest.json`` last, and one rename
+publishes it. Existing run directories, ``eval --out``'s included, are
+never overwritten; a timestamp suffix is appended instead.
 
 ``eval`` reads one-column CSV files, its line numbers counting file lines.
 Exit codes: 0 success, 1 runtime failure, 2 config/validation failure (an
-empty required key included) or a malformed input file (data, label or
-model, a cut or corrupt gzip stream included; a header claiming more bytes
-than the file holds is truncated), IDX image files of different widths
-merged, or ``eval`` on fewer than two values.
+empty required key included) or a malformed input file, named (data,
+label or model; a cut or corrupt gzip stream, text that is not UTF-8 and
+a CSV cell over the field size limit included; a header claiming more
+bytes than the file holds is truncated), IDX image files of different
+widths merged, or ``eval`` on fewer than two values.
 ``RDEC_NUM_THREADS`` pins the BLAS thread count (matmul reductions stay
 deterministic for a fixed thread count). The ``rdec`` package applies it on
 its first import, before numpy loads, for this CLI and library scripts alike.
@@ -50,7 +51,6 @@ from .data import (
     DataFormatError,
     Dataset,
     SubsampleSpec,
-    concat,
     filter_classes,
     load_csv,
     read_idx,
@@ -172,14 +172,17 @@ class ExperimentConfig:
         self.subsample = spec
 
 
-def load_config(path, assignments=()) -> ExperimentConfig:
-    """The config file's settings, updated by ``KEY=VALUE`` assignments."""
+def load_config(path, assignments=(), out=None) -> ExperimentConfig:
+    """The config file's settings, updated by ``KEY=VALUE`` assignments, then
+    by ``out``, the ``--out`` flag, if given."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
     settings = parse_config_text(text, source=str(path))
     settings.update(parse_config_text("\n".join(assignments), source="--set"))
+    if out is not None:
+        settings["out"] = out
     return ExperimentConfig(settings=settings, config_text=text, config_path=str(path))
 
 
@@ -197,16 +200,18 @@ class DataSource(NamedTuple):
 
 
 def _read_idx_files(images: list[str], labels: list[str], name: str) -> Dataset:
-    """The IDX pairs read and merged in order; an image file whose width is
-    not the first one's is a ``ConfigError`` naming both."""
-    merged = read_idx(images[0], labels[0], name=name)
-    for img, lab in zip(images[1:], labels[1:]):
-        part = read_idx(img, lab, name=name)
-        if part.dim != merged.dim:
-            raise ConfigError(f"data.images: {images[0]} has {merged.dim}-pixel images, "
-                              f"{img} has {part.dim}-pixel images")
-        merged = concat(merged, part)
-    return merged
+    """The IDX pairs read and joined in order, one pair as read; an image file
+    whose width is not the first one's is a ``ConfigError`` naming both."""
+    parts = []
+    for img, lab in zip(images, labels):
+        parts.append(read_idx(img, lab, name=name))
+        if parts[-1].dim != parts[0].dim:
+            raise ConfigError(f"data.images: {images[0]} has {parts[0].dim}-pixel images, "
+                              f"{img} has {parts[-1].dim}-pixel images")
+    if len(parts) == 1:
+        return parts[0]
+    return Dataset(np.concatenate([part.features for part in parts]),
+                   np.concatenate([part.labels for part in parts]), name=name)
 
 
 def _data_source(cfg: ExperimentConfig, need_model: bool = False) -> DataSource:
@@ -282,14 +287,14 @@ def _sha256(path: Path) -> str:
 def _publish(args, cfg: ExperimentConfig | None, input_paths: list[Path]):
     """Stage a run directory and publish it whole with one rename.
 
-    The target ``out`` is ``--out``, else the ``out`` key, else
-    ``runs/<command>``, with a timestamp suffix if it exists. Yields ``(stage,
-    out, extra)``: the block writes its files into ``stage``, a hidden
-    directory beside ``out``, and may add manifest entries to ``extra``. Then
-    ``manifest.json`` is written last and ``stage`` renamed to ``out``; if
-    either raises, or the block does, ``stage`` is removed.
+    The target ``out`` is the ``out`` setting (``--out`` when given), else
+    ``runs/<command>``, or ``eval``'s ``--out``, with a timestamp suffix if it
+    exists. Yields ``(stage, out, extra)``: the block writes its files into
+    ``stage``, a hidden directory beside ``out``, and may add manifest entries
+    to ``extra``. Then ``manifest.json`` is written last and ``stage`` renamed
+    to ``out``; if either raises, or the block does, ``stage`` is removed.
     """
-    base = Path((cfg.get("out") or f"runs/{args.command}") if args.out is None else args.out)
+    base = Path(args.out if cfg is None else cfg.get("out") or f"runs/{args.command}")
     out = base  # as a Path, a trailing slash cannot put the suffix inside base
     if out.exists():
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -347,7 +352,7 @@ def _print_progress(event: dict) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, args.out)
     source = _data_source(cfg)
     ds = load_dataset(cfg, source)
     latent = cfg.get("latent_dim", 10)
@@ -408,7 +413,7 @@ def _curve_rows(report):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, args.out)
     method = cfg.train.method
     needs_model = method in ENCODER_METHODS
     source = _data_source(cfg, need_model=needs_model)
@@ -483,7 +488,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, args.out)
     if cfg.subsample is None:
         raise ConfigError("subsample command needs subsample.mode in the config")
     source = _data_source(cfg)

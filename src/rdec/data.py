@@ -1,16 +1,19 @@
 """Dataset ingestion (IDX, CSV and label files) and imbalanced subsampling.
 
-An input file is gunzipped when it starts with the gzip signature and is
-read by one of two readers. ``read_exact`` reads bytes: IDX headers and
-payloads (big-endian, magic-checked) and model files, so no header sizes a
-buffer. ``_rows`` reads text: the non-blank CSV rows, each with the file line
-it ends on, for ``load_csv`` and for ``read_labels``, which reads a label file
-as a one-column CSV file; ``parse_int64`` reads labels exactly. Pixels are
-scaled to [0, 1] by dividing by 255; ``read_idx`` keeps bytes, so rows are
-selected by label before the one float64 copy of the kept rows, and
-``save_idx`` writes bytes back as read. Every CSV file rdec writes goes
-through ``write_csv`` (``\\n`` line ends). A malformed input file, a cut or
-corrupt gzip stream included, raises ``DataFormatError``.
+A data or label file is opened by ``_open_maybe_gzip``, gunzipped if it starts
+with the gzip signature, and read by one of two readers. ``read_exact``
+reads bytes: IDX headers and payloads (big-endian, magic-checked) and model
+files, so no header sizes a buffer. ``_rows`` reads text: the non-blank CSV
+rows, each with the file line it ends on, for ``load_csv`` and for
+``read_labels``, which reads a label file as a one-column CSV file;
+``parse_int64`` reads labels exactly. Pixels are scaled to [0, 1] by
+dividing by 255; ``read_idx`` keeps bytes, so rows are selected by label
+before the one float64 copy of the kept rows, and ``save_idx`` writes bytes
+back as read. Every CSV file rdec writes goes through ``write_csv`` (``\\n``
+line ends). A malformed input file raises ``DataFormatError``; the opener
+alone raises it for a decoding failure (a cut or corrupt gzip stream, text
+that is not UTF-8, a CSV cell over ``csv.field_size_limit()``), and it
+reads each stream to its end, so a gzip CRC is checked past trailing bytes.
 """
 
 from __future__ import annotations
@@ -86,14 +89,20 @@ class SubsampleSpec:
 
 @contextmanager
 def _open_maybe_gzip(path, mode="rb", **text_options):
-    """The file, gunzipped if gzip by content; a bad gzip stream raises DataFormatError."""
+    """The file, gunzipped if gzip by content. Once the block exits cleanly the
+    rest of the stream is read, and ignored, so every gzip member's CRC is
+    checked. A decoding failure, in the block or there, is a DataFormatError
+    that starts with the path."""
     with open(path, "rb") as probe:
         opener = gzip.open if probe.read(2) == b"\x1f\x8b" else open
     try:
         with opener(path, mode, **text_options) as fh:
             yield fh
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise DataFormatError(f"{path}: bad gzip stream: {exc}") from None
+            while fh.read(1 << 16):  # small: a gzip read allocates its size, even at the end
+                pass
+    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError, csv.Error) as exc:
+        kind = "" if isinstance(exc, (UnicodeDecodeError, csv.Error)) else "bad gzip stream: "
+        raise DataFormatError(f"{path}: {kind}{exc}") from None
 
 
 READ_CHUNK = 1 << 24  # bytes per read in read_exact
@@ -134,7 +143,6 @@ def _read_idx(path, magic: int, what: str) -> np.ndarray:
         if min(shape) < 0:
             raise DataFormatError(f"{path}: negative {what} dimension in header {shape}")
         raw = read_exact(fh, math.prod(shape), f"{what} data")
-        fh.read(1)  # a gzip stream's end, where its CRC is checked; bytes past it are ignored
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
@@ -310,21 +318,6 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
         header.append(label_column)
         rows = ([*cells, label] for cells, label in zip(rows, ds.labels))
     write_csv(path, header, rows)
-
-
-def concat(first: Dataset, second: Dataset) -> Dataset:
-    if first.dim != second.dim:
-        raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    if (first.labels is None) != (second.labels is None):
-        raise ValueError("cannot concatenate labeled with unlabeled data")
-    labels = None
-    if first.labels is not None:
-        labels = np.concatenate([first.labels, second.labels])
-    return Dataset(
-        features=np.vstack([first.features, second.features]),
-        labels=labels,
-        name=first.name,
-    )
 
 
 def filter_classes(ds: Dataset, keep) -> Dataset:

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdec.data import SubsampleSpec, concat, filter_classes, load_idx, subsample
+from rdec.cli import _read_idx_files
+from rdec.data import SubsampleSpec, filter_classes, scale_pixels, subsample
 from rdec.dec import kl_divergence, clustering_grads, soft_assign, target_distribution
 from rdec.kmeans import kmeans
 from rdec.metrics import accuracy, adjusted_rand_index, per_class_prf
@@ -320,13 +321,11 @@ DESK_SEEDS = (0, 1, 2, 3, 4)
 
 def load_mnist_06():
     files = mnist_dir()
-    train = load_idx(files["train-images-idx3-ubyte"], files["train-labels-idx1-ubyte"],
-                     name="mnist")
-    test = load_idx(files["t10k-images-idx3-ubyte"], files["t10k-labels-idx1-ubyte"],
-                    name="mnist")
-    full = concat(train, test)
+    full = _read_idx_files([files["train-images-idx3-ubyte"], files["t10k-images-idx3-ubyte"]],
+                           [files["train-labels-idx1-ubyte"], files["t10k-labels-idx1-ubyte"]],
+                           name="mnist")
     assert full.n == 70_000 and full.dim == 784
-    return filter_classes(full, [0, 6])
+    return scale_pixels(filter_classes(full, [0, 6]))
 
 
 def desk_config(method, seed):

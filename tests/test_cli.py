@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from rdec.data import (
     DataFormatError,
     Dataset,
     SubsampleSpec,
-    concat,
     filter_classes,
     load_csv,
     load_idx,
@@ -230,6 +228,30 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (f"error: data.images: {wide} has 24-pixel images, "
                                            f"{img} has 16-pixel images\n")
         assert not out.exists()
+
+    def test_idx_pairs_join_in_order(self, tmp_path, monkeypatch):
+        # pair p holds rows whose first pixels and labels count on from 10 * p
+        files = []
+        for pair, rows in enumerate((2, 3, 1)):
+            pixels = np.arange(rows * 4, dtype=np.uint8).reshape(rows, 4) + 10 * pair
+            files.append((tmp_path / f"images{pair}", tmp_path / f"labels{pair}"))
+            save_idx(Dataset(pixels, np.arange(rows) + 10 * pair), *files[-1])
+        images, labels = ([str(path) for path in column] for column in zip(*files))
+        ds = cli._read_idx_files(images, labels, name="three")
+        assert ds.name == "three" and ds.features.dtype == np.uint8
+        assert ds.features[:, 0].tolist() == [0, 4, 10, 14, 18, 20]
+        assert ds.labels.tolist() == [0, 1, 10, 11, 12, 20]
+        # a third image file of another width is named with the first
+        save_idx(Dataset(np.zeros((1, 9), dtype=np.uint8), np.zeros(1, dtype=np.int64)),
+                 *files[2])
+        with pytest.raises(cli.ConfigError) as info:
+            cli._read_idx_files(images, labels, name="three")
+        assert str(info.value) == (f"data.images: {images[0]} has 4-pixel images, "
+                                   f"{images[2]} has 9-pixel images")
+        # one pair is returned as read
+        read = Dataset(np.zeros((1, 4), dtype=np.uint8), np.zeros(1, dtype=np.int64))
+        monkeypatch.setattr(cli, "read_idx", lambda *args, **kwargs: read)
+        assert cli._read_idx_files(images[:1], labels[:1], name="one") is read
 
     def test_method_and_gamma_overrides(self, tmp_path, idx_fixture, pretrained):
         cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
@@ -867,7 +889,8 @@ class TestSetOption:
         assert manifest["config_file"] == str(config)
         assert (run / "config.txt").read_text() == config.read_text()
         expected = {**load_config(config).settings, "data.images": [str(images)],
-                    "data.labels": [str(labels)], "model": str(model), "max_iter": 5}
+                    "data.labels": [str(labels)], "model": str(model), "max_iter": 5,
+                    "out": str(run)}
         assert manifest["settings"] == {key: expected[key] for key in sorted(expected)}
         assert sorted(manifest["input_sha256"]) == sorted(map(str, (images, labels, model)))
 
@@ -995,6 +1018,15 @@ class TestEvalCommand:
         assert data.read_labels(tmp_path / "l.csv").tolist() == [0, 0, 1, 1]
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 0
         assert "acc: 1.000000" in capsys.readouterr().out
+
+    def test_a_label_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        # it was a bare UnicodeDecodeError, exit 1, naming no file
+        (tmp_path / "a.csv").write_text("0\n1\n")
+        (tmp_path / "l.csv").write_bytes(b"label\n0\n\xff\n")
+        assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'l.csv'}: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 8: "
+                                           "invalid start byte\n")
 
     def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("0\n1.5\n")
@@ -1134,6 +1166,12 @@ class TestSubsampleCommand:
         np.testing.assert_array_equal(index, picked.features[:, 0])
 
 
+def joined(parts):
+    """The datasets' rows and labels in order, named as the first."""
+    return Dataset(np.concatenate([part.features for part in parts]),
+                   np.concatenate([part.labels for part in parts]), name=parts[0].name)
+
+
 class TestDataPathMemory:
     """The IDX path keeps rows as bytes until the kept ones are chosen, then
     makes one float64 copy of them; the CSV path converts each row as read."""
@@ -1174,8 +1212,7 @@ class TestDataPathMemory:
             tracemalloc.stop()
 
         # the float64-first path: every row scaled on load, then selected
-        old = reduce(concat, (load_idx(images, labels, name="mem")
-                              for images, labels in two_files))
+        old = joined([load_idx(images, labels, name="mem") for images, labels in two_files])
         old = subsample(filter_classes(old, [0, 1, 2]), cfg.subsample)
         assert ds.features.dtype == np.float64 and ds.features.shape == old.features.shape
         assert ds.features.tobytes() == old.features.tobytes()
@@ -1203,8 +1240,7 @@ class TestDataPathMemory:
             tracemalloc.stop()
 
         # the float64 path: the kept rows scaled, then rescaled to bytes
-        kept = subsample(reduce(concat, (read_idx(images, labels)
-                                         for images, labels in two_files)),
+        kept = subsample(joined([read_idx(images, labels) for images, labels in two_files]),
                          load_config(cfg_path).subsample)
         save_idx(scale_pixels(kept), tmp_path / "images", tmp_path / "labels")
         assert (out / "images-idx3-ubyte").read_bytes() == (tmp_path / "images").read_bytes()
@@ -1274,6 +1310,17 @@ class TestRunDirectory:
         # published with the mode mkdir gives, not mkdtemp's private 0o700
         (tmp_path / "probe").mkdir()
         assert first.stat().st_mode == (tmp_path / "probe").stat().st_mode
+
+    def test_out_flag_is_the_manifest_out_setting(self, tmp_path, idx_fixture):
+        # the manifest recorded the config's out, not the directory --out published
+        cfg = write_config(tmp_path, idx_fixture, extra=f"out = {tmp_path / 'from-config'}\n")
+        out = tmp_path / "from-flag"
+        assert main(["train", "--config", str(cfg), "--set", "method=kmeans",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["out"] == str(out)
+        assert (out / "config.txt").read_text() == cfg.read_text()
+        assert not (tmp_path / "from-config").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
     def test_manifest_hashes_every_output(self, tmp_path, idx_fixture, pretrained, command):

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import re
 import struct
@@ -11,7 +12,6 @@ from rdec.data import (
     DataFormatError,
     Dataset,
     SubsampleSpec,
-    concat,
     filter_classes,
     load_csv,
     load_idx,
@@ -127,14 +127,17 @@ class TestLoadIdx:
     @pytest.mark.parametrize("damage, reason", [
         ("cut", "Compressed file ended before the end-of-stream marker was reached"),
         ("flipped", "CRC check failed 0x"),
-    ], ids=["cut", "flipped"])
+        ("flipped-with-trailing-bytes", "CRC check failed 0x"),
+    ], ids=["cut", "flipped", "flipped-with-trailing-bytes"])
     def test_damaged_gzip_is_a_format_error_naming_the_file(self, tmp_path, damage, reason):
         # cut, it was a bare EOFError (exit 1) naming no file; with one byte
-        # flipped it loaded, one pixel changed, as the CRC was never read
+        # flipped it loaded, one pixel changed, as the CRC was never read, and
+        # so it did with trailing bytes, which kept the CRC out of reach
         pixels = np.arange(200, dtype=np.uint8).reshape(50, 2, 2)
         img, lab = write_idx_pair(tmp_path, pixels, [0] * 50)
+        trailing = bytes(5) if damage.endswith("trailing-bytes") else b""
         # a stored deflate block holds the file's bytes as they are
-        content = bytearray(gzip.compress(img.read_bytes(), compresslevel=0))
+        content = bytearray(gzip.compress(img.read_bytes() + trailing, compresslevel=0))
         if damage == "cut":
             content = content[: len(content) // 2]
         else:
@@ -508,6 +511,21 @@ def test_a_cut_gzip_text_file_is_a_format_error_naming_it(tmp_path, read):
         read(path)
 
 
+@pytest.mark.parametrize("read", [load_csv, read_labels])
+@pytest.mark.parametrize("content, error", [
+    (b"v\n1\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (b"v\n" + b"1" * (csv.field_size_limit() + 1) + b"\n",
+     f"field larger than field limit ({csv.field_size_limit()})"),
+], ids=["not-utf-8", "over-limit-cell"])
+def test_undecodable_text_is_a_format_error_naming_the_file(tmp_path, read, content, error):
+    # it was a bare UnicodeDecodeError or csv.Error (exit 1) naming no file
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {error}"
+
+
 class TestFilterConcat:
     def test_filter_keeps_order(self):
         ds = Dataset(
@@ -535,28 +553,14 @@ class TestFilterConcat:
 
     @pytest.mark.parametrize("select", [
         lambda ds: filter_classes(ds, [0, 2]),
-        lambda ds: concat(ds, ds),
         lambda ds: subsample(ds, SubsampleSpec(mode="single_class", r_min=0.5,
                                                target_class=1)),
         lambda ds: subsample(ds, SubsampleSpec(mode="explicit_counts", counts=[2, 3, 4])),
         lambda ds: subsample(ds, SubsampleSpec(mode="interpolated", r_min=0.5)),
-    ], ids=["filter_classes", "concat", "single_class", "explicit_counts", "interpolated"])
+    ], ids=["filter_classes", "single_class", "explicit_counts", "interpolated"])
     def test_selection_keeps_the_name(self, rng, select):
         ds = Dataset(rng.standard_normal((30, 2)), np.arange(30) % 3, name="raw")
         assert select(ds).name == "raw"
-
-    def test_concat(self):
-        a = Dataset(features=np.ones((2, 2)), labels=np.array([0, 1]))
-        b = Dataset(features=np.zeros((1, 2)), labels=np.array([1]))
-        merged = concat(a, b)
-        assert merged.n == 3
-        np.testing.assert_array_equal(merged.labels, [0, 1, 1])
-
-    def test_concat_dim_mismatch(self):
-        a = Dataset(features=np.ones((2, 2)), labels=None)
-        b = Dataset(features=np.ones((2, 3)), labels=None)
-        with pytest.raises(ValueError):
-            concat(a, b)
 
 
 def blob_dataset(rng, counts):
