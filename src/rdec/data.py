@@ -10,10 +10,10 @@ rows, each with the file line it ends on, for ``load_csv`` and for
 dividing by 255; ``read_idx`` keeps bytes, so rows are selected by label
 before the one float64 copy of the kept rows, and ``save_idx`` writes bytes
 back as read. Every CSV file rdec writes goes through ``write_csv`` (``\\n``
-line ends). A malformed input file raises ``DataFormatError``; the opener
-alone raises it for a decoding failure (a cut or corrupt gzip stream, text
-that is not UTF-8, a CSV cell over ``csv.field_size_limit()``), and it
-reads each stream to its end, so a gzip CRC is checked past trailing bytes.
+line ends). A malformed input file raises ``DataFormatError``: the opener
+for a cut or corrupt gzip stream (it reads each stream to its end, so a gzip
+CRC is checked past trailing bytes), ``_rows`` for text that is not UTF-8
+or a CSV cell over ``csv.field_size_limit()``, naming the line.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class SubsampleSpec:
 def _open_maybe_gzip(path, mode="rb", **text_options):
     """The file, gunzipped if gzip by content. Once the block exits cleanly the
     rest of the stream is read, and ignored, so every gzip member's CRC is
-    checked. A decoding failure, in the block or there, is a DataFormatError
-    that starts with the path."""
+    checked. A cut or corrupt gzip stream, in the block or there, is a
+    DataFormatError that starts with the path."""
     with open(path, "rb") as probe:
         opener = gzip.open if probe.read(2) == b"\x1f\x8b" else open
     try:
@@ -100,9 +100,8 @@ def _open_maybe_gzip(path, mode="rb", **text_options):
             yield fh
             while fh.read(1 << 16):  # small: a gzip read allocates its size, even at the end
                 pass
-    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError, csv.Error) as exc:
-        kind = "" if isinstance(exc, (UnicodeDecodeError, csv.Error)) else "bad gzip stream: "
-        raise DataFormatError(f"{path}: {kind}{exc}") from None
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"{path}: bad gzip stream: {exc}") from None
 
 
 READ_CHUNK = 1 << 24  # bytes per read in read_exact
@@ -214,12 +213,24 @@ def save_idx(ds: Dataset, images_path, labels_path) -> None:
 
 def _rows(path):
     """``(line, cells)`` for each non-blank row of a CSV file, ``line`` the file
-    line the row ends on; a blank row has no cells, or one of only whitespace."""
+    line the row ends on; a blank row has no cells, or one of only whitespace.
+    A cell over the field limit or text not UTF-8 is a DataFormatError naming the line."""
     with _open_maybe_gzip(path, "rt", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for cells in reader:
-            if len(cells) > 1 or cells and cells[0].strip():
-                yield reader.line_num, cells
+        try:
+            for cells in reader:
+                if len(cells) > 1 or cells and cells[0].strip():
+                    yield reader.line_num, cells
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            with _open_maybe_gzip(path) as raw:  # by lines: the decoder's position is in its chunk
+                for lineno, line in enumerate(raw, 1):
+                    try:  # a newline byte is in no UTF-8 multi-byte sequence
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            raise
 
 
 def read_labels(path) -> np.ndarray:

@@ -9,6 +9,8 @@ import numpy as np
 
 from .dec import expanded_squared_distances
 
+MAX_ITER = 300  # Lloyd steps per restart, at most
+
 
 @dataclass
 class KMeansResult:
@@ -41,14 +43,14 @@ def _update_centroids(columns, points, assignments, point_cost, centroids) -> No
             cost[far] = -np.inf
 
 
-def _lloyd(points, columns, sq_norms, k: int, rng: np.random.Generator, max_iter: int):
+def _lloyd(points, columns, sq_norms, k: int, rng: np.random.Generator):
     n = points.shape[0]
     rows = np.arange(n)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1, dtype=np.int64)
     dists = np.empty((n, k))
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         expanded_squared_distances(sq_norms, points, centroids, out=dists)
         new_assignments = dists.argmin(axis=1)  # ties go to the lower index
         point_cost = dists[rows, new_assignments]
@@ -69,7 +71,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     restarts: int,
-    max_iter: int = 300,
     seed: int = 0,
 ) -> KMeansResult:
     """Best-inertia clustering over independent random-point restarts.
@@ -102,9 +103,7 @@ def kmeans(
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centroids, assignments, inertia, history = _lloyd(
-            points, columns, sq_norms, k, rng, max_iter
-        )
+        centroids, assignments, inertia, history = _lloyd(points, columns, sq_norms, k, rng)
         if best is None or inertia < best.inertia:
             best = KMeansResult(centroids, assignments, inertia, history)
     return best

@@ -57,7 +57,6 @@ class TrainConfig:
     s: float = 2.0
     epsilon: float = 1.0  # VAT perturbation radius, input-space units
     xi: float = 10.0  # VAT probe scale for the power-iteration gradient
-    ip: int = 1  # VAT power iterations
     tau: int = 140
     sigma: float = 0.01
     max_iter: int = 20_000
@@ -74,15 +73,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        # ip's lower bound is checked with the other VAT settings
-        for name, least in (("tau", 1), ("batch_size", 1), ("max_iter", 1), ("ip", None),
+        for name, least in (("tau", 1), ("batch_size", 1), ("max_iter", 1),
                             ("kmeans_restarts", 1), ("pretrain_epochs", 0), ("seed", 0)):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if least is not None and value < least:
+            if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         for name, value in (("gamma", self.gamma), ("s", self.s)):
             if not math.isfinite(value):
@@ -101,7 +99,7 @@ class TrainConfig:
             momentum = getattr(self, name)
             if not 0.0 <= momentum < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {momentum}")
-        vat.check_settings(self.epsilon, self.xi, self.ip)
+        vat.check_settings(self.epsilon, self.xi)
 
 
 @dataclass
@@ -313,7 +311,7 @@ def _step(model: ClusterModel, optimizers: list[SgdMomentum], x: Matrix, target:
     consistency, vat_grads = 0.0, None
     if cfg.method == "rdec" and cfg.gamma > 0.0:
         vat_rng = np.random.default_rng([cfg.seed, _STREAM_VAT, it])
-        r_adv = adversarial_perturbation(model, x, q, cfg.epsilon, cfg.xi, cfg.ip, vat_rng)
+        r_adv = adversarial_perturbation(model, x, q, cfg.epsilon, cfg.xi, vat_rng)
         consistency, vat_grads = vat_loss(model, x, r_adv, q_ref=q)
         check_finite(f"VAT loss at iteration {it}", consistency)
         for grad in vat_grads:

@@ -2,11 +2,11 @@
 
 The perturbation for each input row is the direction, of fixed Euclidean
 norm epsilon, that most increases the KL between the model's prediction
-on the clean row and on the perturbed row. It is approximated by ip steps
-of power iteration: probe the KL gradient at a random direction scaled by
-xi, normalize, repeat. The consistency loss then penalizes prediction
-change under that perturbation, treating the clean prediction as a
-constant. The trainer reads epsilon, xi and ip from its ``TrainConfig``;
+on the clean row and on the perturbed row. It is approximated by one step
+of power iteration, as in VAT: probe the KL gradient at a random direction
+scaled by xi and normalize it. The consistency loss then penalizes
+prediction change under that perturbation, treating the clean prediction
+as a constant. The trainer reads epsilon and xi from its ``TrainConfig``;
 ``check_settings`` holds their ranges for both.
 
 Models are duck-typed; writing q(x) for the model's row-stochastic
@@ -25,54 +25,45 @@ import numpy as np
 
 from .tensor import Matrix
 
-# Rows whose norm falls below this keep their previous direction (flat model).
+# Rows whose norm falls below this keep their fallback direction (flat model).
 _NORM_FLOOR = 1e-30
 
 
-def check_settings(epsilon: float, xi: float, ip: int) -> None:
-    """Raise ValueError unless epsilon and xi are finite positives and ip >= 1."""
+def check_settings(epsilon: float, xi: float) -> None:
+    """Raise ValueError unless epsilon and xi are finite positives."""
     for name, value in (("epsilon", epsilon), ("xi", xi)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    if ip < 1:
-        raise ValueError(f"ip must be >= 1, got {ip}")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _normalize_rows(d: Matrix, fallback: Matrix | None = None) -> Matrix:
-    """Scale each row to unit norm; rows with ~zero norm fall back unchanged."""
+def _normalize_rows(d: Matrix, fallback: Matrix) -> Matrix:
+    """Scale each row to unit norm; rows with ~zero norm take the fallback's row."""
     norms = np.linalg.norm(d, axis=1, keepdims=True)
     flat = norms[:, 0] < _NORM_FLOOR
     safe = np.where(norms < _NORM_FLOOR, 1.0, norms)
     out = d / safe
     if np.any(flat):
-        if fallback is None:
-            raise FloatingPointError("cannot normalize an all-zero direction")
         out[flat] = fallback[flat]
     return out
 
 
 def adversarial_perturbation(
-    model, x: Matrix, q_ref: Matrix, epsilon: float, xi: float, ip: int,
-    rng: np.random.Generator,
+    model, x: Matrix, q_ref: Matrix, epsilon: float, xi: float, rng: np.random.Generator,
 ) -> Matrix:
-    """Per-row adversarial direction of norm epsilon, via ip power iterations
-    that probe the gradient at distance xi.
+    """Per-row adversarial direction of norm epsilon, from one probe of the
+    gradient at distance xi along a random direction.
 
-    q_ref must be the model's prediction on x; it is treated as constant
-    throughout. Rows where the probed gradient vanishes (locally flat
-    model) keep their current random direction. Settings out of range
-    raise ValueError before any probe runs.
+    q_ref must be the model's prediction on x; it is treated as constant.
+    Rows where the probed gradient vanishes (locally flat model) keep the
+    random direction. Settings out of range raise ValueError before the probe.
     """
-    check_settings(epsilon, xi, ip)
-    d = _normalize_rows(rng.standard_normal(x.shape))
-    for _ in range(ip):
-        grad = model.kl_input_grad(x + xi * d, q_ref)
-        d = _normalize_rows(grad, fallback=d)
-    return epsilon * d
+    check_settings(epsilon, xi)
+    d = rng.standard_normal(x.shape)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    grad = model.kl_input_grad(x + xi * d, q_ref)
+    return epsilon * _normalize_rows(grad, fallback=d)
 
 
 def vat_loss(model, x: Matrix, r_adv: Matrix, q_ref: Matrix):

@@ -582,7 +582,6 @@ gamma = 0.5
 s = 3
 epsilon = 0.25
 xi = 4
-ip = 2
 tau = 9
 sigma = 0.2
 max_iter = 33
@@ -596,7 +595,7 @@ kmeans.restarts = 3
 """
 
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
-    method="dec", seed=7, gamma=0.5, s=3.0, epsilon=0.25, xi=4.0, ip=2,
+    method="dec", seed=7, gamma=0.5, s=3.0, epsilon=0.25, xi=4.0,
     tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
     pretrain_lr=0.003, pretrain_momentum=0.8, finetune_lr=0.002, finetune_momentum=0.6,
     kmeans_restarts=3,
@@ -688,12 +687,12 @@ class TestTrainConfigMapping:
         # each key's name and parser, as the hand-written table spelled them
         assert {key: PARSERS[key] for key in TRAINING_KEYS} == {
             "method": str, "gamma": float, "s": float, "epsilon": float, "xi": float,
-            "ip": int, "tau": int, "sigma": float, "max_iter": int, "batch_size": int,
+            "tau": int, "sigma": float, "max_iter": int, "batch_size": int,
             "pretrain.epochs": int, "pretrain.lr": float, "pretrain.momentum": float,
             "finetune.lr": float, "finetune.momentum": float, "kmeans.restarts": int,
             "seed": int,
         }
-        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 17
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 16
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -744,7 +743,6 @@ class TestTrainConfigMapping:
         monkeypatch.setattr(cli, "read_idx", no_load)
         for line, message in [("epsilon = 0", "epsilon must be positive, got 0.0"),
                               ("xi = -1", "xi must be positive, got -1.0"),
-                              ("ip = 0", "ip must be >= 1, got 0"),
                               ("gamma = nan", "gamma must be finite, got nan"),
                               ("epsilon = inf", "epsilon must be finite, got inf")]:
             cfg = write_config(tmp_path, idx_fixture)
@@ -763,6 +761,7 @@ class TestSetOption:
     @pytest.mark.parametrize("assignments, message", [
         (["seed=9", "bogus=1"], "--set:2: unknown key 'bogus'"),
         (["alpha=2"], "--set:1: unknown key 'alpha'"),  # fixed at 1, as in DEC
+        (["ip=1"], "--set:1: unknown key 'ip'"),  # VAT probes once
         (["gamma=high"], "--set:1: bad value for gamma: "
                          "could not convert string to float: 'high'"),
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
@@ -774,9 +773,9 @@ class TestSetOption:
         (["subsample.counts="], "explicit_counts mode needs counts"),
         (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
-    ], ids=["unknown-key", "alpha", "bad-value", "duplicate", "no-equals", "invalid", "subsample-mode",
-            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts",
-            "negative-count", "negative-subsample-seed"])
+    ], ids=["unknown-key", "alpha", "ip", "bad-value", "duplicate", "no-equals", "invalid",
+            "subsample-mode", "subsample-r-min", "single-class-no-target",
+            "explicit-counts-no-counts", "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
                                                  monkeypatch, command, assignments,
                                                  message):
@@ -1024,8 +1023,8 @@ class TestEvalCommand:
         (tmp_path / "a.csv").write_text("0\n1\n")
         (tmp_path / "l.csv").write_bytes(b"label\n0\n\xff\n")
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "l.csv")]) == 2
-        assert capsys.readouterr().err == (f"error: {tmp_path / 'l.csv'}: 'utf-8' codec "
-                                           "can't decode byte 0xff in position 8: "
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'l.csv'}:3: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 0: "
                                            "invalid start byte\n")
 
     def test_a_bad_label_file_is_a_data_format_error(self, tmp_path):

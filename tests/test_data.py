@@ -511,19 +511,29 @@ def test_a_cut_gzip_text_file_is_a_format_error_naming_it(tmp_path, read):
         read(path)
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+OVER_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+# 10 000 rows run past the text reader's first 8 KiB decoding chunk
+LONG = b"v\n" + b"1\n" * 10_000 + b"1\xff\n"
+
+
 @pytest.mark.parametrize("read", [load_csv, read_labels])
-@pytest.mark.parametrize("content, error", [
-    (b"v\n1\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
-    (b"v\n" + b"1" * (csv.field_size_limit() + 1) + b"\n",
-     f"field larger than field limit ({csv.field_size_limit()})"),
-], ids=["not-utf-8", "over-limit-cell"])
-def test_undecodable_text_is_a_format_error_naming_the_file(tmp_path, read, content, error):
-    # it was a bare UnicodeDecodeError or csv.Error (exit 1) naming no file
+@pytest.mark.parametrize("content, lineno, error", [
+    (b"v\n1\n\xff\n", 3, NOT_UTF8.format(0)),
+    (b"v\n" + b"1" * (csv.field_size_limit() + 1) + b"\n", 2, OVER_LIMIT),
+    (LONG, 10_002, NOT_UTF8.format(1)),
+    (gzip.compress(LONG), 10_002, NOT_UTF8.format(1)),
+    (b"v\n" + b"1\n" * 5 + b"1" * (csv.field_size_limit() + 1) + b"\n", 7, OVER_LIMIT),
+], ids=["not-utf-8", "over-limit-cell", "not-utf-8-past-a-chunk", "not-utf-8-past-a-chunk-gzip",
+        "over-limit-cell-after-rows"])
+def test_undecodable_text_is_a_format_error_naming_the_file(tmp_path, read, content, lineno,
+                                                            error):
+    # a decoding error names the line, and a byte position within that line
     path = tmp_path / "in.csv"
     path.write_bytes(content)
     with pytest.raises(DataFormatError) as info:
         read(path)
-    assert str(info.value) == f"{path}: {error}"
+    assert str(info.value) == f"{path}:{lineno}: {error}"
 
 
 class TestFilterConcat:

@@ -37,7 +37,7 @@ def run_both_methods(ds, seed=0, epsilon=0.5):
     out = {}
     for method, gamma in (("dec", 0.0), ("rdec", 5.0)):
         enc = copy.deepcopy(encoder)
-        run_cfg = replace(cfg, method=method, gamma=gamma, epsilon=epsilon, xi=10.0, ip=1)
+        run_cfg = replace(cfg, method=method, gamma=gamma, epsilon=epsilon, xi=10.0)
         assignments, report = finetune(enc, ds.features, 2, run_cfg,
                                        labels=ds.labels)
         acc, mapping = accuracy(ds.labels, assignments)

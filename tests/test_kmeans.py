@@ -80,10 +80,11 @@ def test_errors():
         kmeans(np.zeros((3, 0)), k=2, restarts=1)
 
 
-def test_inertia_history_non_increasing(rng):
+def test_inertia_history_non_increasing(rng, monkeypatch):
+    monkeypatch.setattr("rdec.kmeans.MAX_ITER", 50)
     for trial in range(10):
         points = rng.standard_normal((80, 4)) + rng.integers(0, 3, size=(80, 1)) * 4.0
-        result = kmeans(points, k=3, restarts=4, max_iter=50, seed=trial)
+        result = kmeans(points, k=3, restarts=4, seed=trial)
         history = result.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
@@ -97,10 +98,11 @@ def test_same_seed_reproducible(rng):
     assert a.inertia == b.inertia
 
 
-def test_assignment_ties_break_low_index():
+def test_assignment_ties_break_low_index(monkeypatch):
     # point exactly between two centroid seeds
+    monkeypatch.setattr("rdec.kmeans.MAX_ITER", 1)
     points = np.array([[0.0], [2.0], [1.0], [1.0]])
-    result = kmeans(points, k=2, restarts=20, max_iter=1, seed=0)
+    result = kmeans(points, k=2, restarts=20, seed=0)
     assert set(result.assignments.tolist()) <= {0, 1}
 
 
@@ -194,9 +196,11 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_bit_identical_to_plain_lloyd(case):
+def test_bit_identical_to_plain_lloyd(case, monkeypatch):
     points, k, kwargs = ORACLE_CASES[case]
-    got = kmeans(points, k, restarts=5, seed=3, **kwargs)
+    if "max_iter" in kwargs:
+        monkeypatch.setattr("rdec.kmeans.MAX_ITER", kwargs["max_iter"])
+    got = kmeans(points, k, restarts=5, seed=3)
     want = reference_kmeans(points, k, restarts=5, seed=3, **kwargs)
     np.testing.assert_array_equal(got.centroids, want.centroids)
     np.testing.assert_array_equal(got.assignments, want.assignments)

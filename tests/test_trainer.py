@@ -85,8 +85,7 @@ def list_step_replay(start, centroids, data, cfg):
         if cfg.method == "rdec" and cfg.gamma > 0.0:
             q_b = model.predict(x)
             vat_rng = np.random.default_rng([cfg.seed, trainer._STREAM_VAT, it])
-            r_adv = adversarial_perturbation(model, x, q_b, cfg.epsilon, cfg.xi, cfg.ip,
-                                             vat_rng)
+            r_adv = adversarial_perturbation(model, x, q_b, cfg.epsilon, cfg.xi, vat_rng)
             consistency, vat_grads = vat_loss(model, x, r_adv, q_ref=q_b)
             for g, vg in zip(grads, vat_grads, strict=True):
                 vg *= cfg.gamma
@@ -119,11 +118,13 @@ class TestLabelChangeRate:
 
 def test_only_train_config_states_the_training_defaults():
     # K-means restarts, SGD momentum and the sharpening exponent come from
-    # TrainConfig's fields; ACC's cluster cap is a module constant.
+    # TrainConfig's fields; ACC's cluster cap and K-means' Lloyd cap are
+    # module constants.
     for function, name in ((kmeans, "restarts"), (SgdMomentum, "momentum"),
                            (target_distribution, "s")):
         assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
     assert "max_clusters" not in inspect.signature(accuracy).parameters
+    assert "max_iter" not in inspect.signature(kmeans).parameters
 
 
 class TestConfigValidation:
@@ -140,7 +141,6 @@ class TestConfigValidation:
         {"kmeans_restarts": 0},
         {"epsilon": 0.0},
         {"xi": 0.0},
-        {"ip": 0},
         {"gamma": float("nan")},
         {"gamma": float("inf")},
         {"s": float("nan")},
@@ -153,7 +153,6 @@ class TestConfigValidation:
         {"tau": 1.5},
         {"batch_size": 2.5},
         {"max_iter": 10.0},
-        {"ip": 1.0},
         {"kmeans_restarts": 2.5},
         {"pretrain_epochs": 0.5},
         {"seed": 1.0},
@@ -211,8 +210,8 @@ class TestConfigValidation:
         assert replace(fast_config(), gamma=2.0).gamma == 2.0
         with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
             replace(fast_config(), gamma=-1.0)
-        with pytest.raises(ValueError, match="ip must be >= 1, got 0"):
-            replace(fast_config(), ip=0)
+        with pytest.raises(ValueError, match="xi must be positive, got 0.0"):
+            replace(fast_config(), xi=0.0)
 
 
 class TestPretrain:
@@ -631,14 +630,14 @@ class TestFinetune:
 
 
 class TestOneDistancePassPerKl:
-    """Each KL evaluation in a step (the clustering term, every VAT probe,
+    """Each KL evaluation in a step (the clustering term, the VAT probe,
     the perturbed pass) makes one distance pass that yields both q and
     the gradients."""
 
     @pytest.mark.parametrize("method, gamma, per_step", [
         ("dec", 0.0, 1),
         ("rdec", 0.0, 1),
-        ("rdec", 2.0, 3),  # clustering term + one ip=1 probe + perturbed pass
+        ("rdec", 2.0, 3),  # clustering term + the one probe + perturbed pass
     ])
     def test_squared_distance_calls_per_step(self, monkeypatch, method, gamma, per_step):
         data, _ = two_gaussians(n=120, seed=3)
@@ -653,7 +652,6 @@ class TestOneDistancePassPerKl:
         steps = 7
         cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
                           batch_size=16, seed=5)
-        assert cfg.ip == 1
         _, report = finetune(small_encoder(3), data, 2, cfg)
         assert report.stop_reason == "max_iterations"
         assert len(report.iterations) == steps
@@ -664,7 +662,7 @@ class TestOneDistancePassPerKl:
     @pytest.mark.parametrize("method, gamma, per_step", [
         ("dec", 0.0, 1),
         ("rdec", 0.0, 1),
-        ("rdec", 2.0, 2),  # clustering term + perturbed pass; the ip=1 probe needs no loss
+        ("rdec", 2.0, 2),  # clustering term + perturbed pass; the probe needs no loss
     ])
     def test_kl_divergence_calls_per_step(self, monkeypatch, method, gamma, per_step):
         data, _ = two_gaussians(n=120, seed=3)
@@ -679,7 +677,6 @@ class TestOneDistancePassPerKl:
         steps = 7
         cfg = fast_config(method=method, gamma=gamma, max_iter=steps, tau=100,
                           batch_size=16, seed=5)
-        assert cfg.ip == 1
         _, report = finetune(small_encoder(3), data, 2, cfg)
         assert len(report.iterations) == steps
         # plus the checkpoint loss of the refresh at iteration 0
