@@ -223,11 +223,11 @@ def _rows(path):
                     yield reader.line_num, cells
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            with _open_maybe_gzip(path) as raw:  # by lines: the decoder's position is in its chunk
-                for lineno, line in enumerate(raw, 1):
-                    try:  # a newline byte is in no UTF-8 multi-byte sequence
-                        line.decode("utf-8")
+        except UnicodeDecodeError:  # at a position in the decoder's chunk: find its line
+            with _open_maybe_gzip(path, "rt", newline="", encoding="latin-1") as text:
+                for lineno, line in enumerate(text, 1):  # latin-1 keeps bytes; lines as above
+                    try:  # no line end byte is in a UTF-8 multi-byte sequence
+                        line.encode("latin-1").decode("utf-8")
                     except UnicodeDecodeError as exc:
                         raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             raise

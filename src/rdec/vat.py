@@ -2,11 +2,11 @@
 
 The perturbation for each input row is the direction, of fixed Euclidean
 norm epsilon, that most increases the KL between the model's prediction
-on the clean row and on the perturbed row. It is approximated by one step
-of power iteration, as in VAT: probe the KL gradient at a random direction
-scaled by xi and normalize it. The consistency loss then penalizes
-prediction change under that perturbation, treating the clean prediction
-as a constant. The trainer reads epsilon and xi from its ``TrainConfig``;
+on the clean row and on the perturbed row. It is approximated by power
+iteration (``POWER_ITERATIONS`` steps, one as in VAT): probe the KL gradient
+at a random direction scaled by xi, normalize, repeat. The consistency loss
+then penalizes prediction change under that perturbation, treating the clean
+prediction as a constant. The trainer reads epsilon and xi from its ``TrainConfig``;
 ``check_settings`` holds their ranges for both.
 
 Models are duck-typed; writing q(x) for the model's row-stochastic
@@ -27,6 +27,8 @@ from .tensor import Matrix
 
 # Rows whose norm falls below this keep their fallback direction (flat model).
 _NORM_FLOOR = 1e-30
+# Power-iteration steps per perturbation: one, as in VAT and in every run.
+POWER_ITERATIONS = 1
 
 
 def check_settings(epsilon: float, xi: float) -> None:
@@ -41,29 +43,27 @@ def check_settings(epsilon: float, xi: float) -> None:
 def _normalize_rows(d: Matrix, fallback: Matrix) -> Matrix:
     """Scale each row to unit norm; rows with ~zero norm take the fallback's row."""
     norms = np.linalg.norm(d, axis=1, keepdims=True)
-    flat = norms[:, 0] < _NORM_FLOOR
-    safe = np.where(norms < _NORM_FLOOR, 1.0, norms)
-    out = d / safe
-    if np.any(flat):
-        out[flat] = fallback[flat]
-    return out
+    flat = norms < _NORM_FLOOR
+    return np.where(flat, fallback, d / np.where(flat, 1.0, norms))
 
 
 def adversarial_perturbation(
     model, x: Matrix, q_ref: Matrix, epsilon: float, xi: float, rng: np.random.Generator,
 ) -> Matrix:
-    """Per-row adversarial direction of norm epsilon, from one probe of the
-    gradient at distance xi along a random direction.
+    """Per-row adversarial direction of norm epsilon, via ``POWER_ITERATIONS``
+    power iterations that probe the gradient at distance xi.
 
     q_ref must be the model's prediction on x; it is treated as constant.
-    Rows where the probed gradient vanishes (locally flat model) keep the
-    random direction. Settings out of range raise ValueError before the probe.
+    Rows where the probed gradient vanishes (locally flat model) keep their
+    current direction. Settings out of range raise ValueError before any probe.
     """
     check_settings(epsilon, xi)
     d = rng.standard_normal(x.shape)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    grad = model.kl_input_grad(x + xi * d, q_ref)
-    return epsilon * _normalize_rows(grad, fallback=d)
+    for _ in range(POWER_ITERATIONS):
+        grad = model.kl_input_grad(x + xi * d, q_ref)
+        d = _normalize_rows(grad, fallback=d)
+    return epsilon * d
 
 
 def vat_loss(model, x: Matrix, r_adv: Matrix, q_ref: Matrix):

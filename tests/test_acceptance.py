@@ -150,8 +150,8 @@ def test_c2_distribution_suite():
 
 @pytest.mark.criterion(3, "perturbation rows have norm epsilon within 1e-6; "
                           "consistency loss vanishes for constant models; "
-                          "the adversarial line beats random in >=95% of 200 toy trials")
-def test_c3_vat_suite():
+                          "adversarial beats random in >=95% of 200 toy trials")
+def test_c3_vat_suite(monkeypatch):
     rng = np.random.default_rng(303)
     for _ in range(20):
         net = random_relu_net(rng, 6, 8, 3)
@@ -178,12 +178,12 @@ def test_c3_vat_suite():
     model, data = trained_toy_model(seed=0)
     x = data[:200]
     q_ref = model.predict(x)
+    monkeypatch.setattr("rdec.vat.POWER_ITERATIONS", 2)
     r_adv = adversarial_perturbation(model, x, q_ref, 1.0, 1.0,
                                      np.random.default_rng(11))
     random_dirs = np.random.default_rng(13).standard_normal(x.shape)
     random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
-    kl_adv = np.maximum(per_row_kl(q_ref, model.predict(x + r_adv)),
-                        per_row_kl(q_ref, model.predict(x - r_adv)))
+    kl_adv = per_row_kl(q_ref, model.predict(x + r_adv))
     kl_rand = per_row_kl(q_ref, model.predict(x + random_dirs))
     assert np.mean(kl_adv >= kl_rand - 1e-15) >= 0.95
 

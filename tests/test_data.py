@@ -524,8 +524,10 @@ LONG = b"v\n" + b"1\n" * 10_000 + b"1\xff\n"
     (LONG, 10_002, NOT_UTF8.format(1)),
     (gzip.compress(LONG), 10_002, NOT_UTF8.format(1)),
     (b"v\n" + b"1\n" * 5 + b"1" * (csv.field_size_limit() + 1) + b"\n", 7, OVER_LIMIT),
+    (b"v\r1\r1\xff\r", 3, NOT_UTF8.format(1)),  # lines end at a bare \r, as csv counts them
+    (b"v\r\n1\r\n1\xff\r\n", 3, NOT_UTF8.format(1)),
 ], ids=["not-utf-8", "over-limit-cell", "not-utf-8-past-a-chunk", "not-utf-8-past-a-chunk-gzip",
-        "over-limit-cell-after-rows"])
+        "over-limit-cell-after-rows", "not-utf-8-cr-line-ends", "not-utf-8-crlf-line-ends"])
 def test_undecodable_text_is_a_format_error_naming_the_file(tmp_path, read, content, lineno,
                                                             error):
     # a decoding error names the line, and a byte position within that line

@@ -36,6 +36,14 @@ class TestPerturbationNorm:
                                      np.random.default_rng(0))
         np.testing.assert_allclose(np.linalg.norm(r, axis=1), epsilon, atol=1e-6)
 
+    def test_multiple_power_iterations(self, rng, monkeypatch):
+        monkeypatch.setattr("rdec.vat.POWER_ITERATIONS", 3)
+        model = small_model(rng)
+        x = rng.standard_normal((6, 4))
+        q_ref = model.predict(x)
+        r = adversarial_perturbation(model, x, q_ref, 1.0, 1.0, np.random.default_rng(1))
+        np.testing.assert_allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-6)
+
     def test_a_direct_call_rejects_a_bad_setting(self, rng):
         model = small_model(rng)
         x = rng.standard_normal((4, 4))
@@ -158,11 +166,12 @@ def trained_toy_model(seed=0, dim=48):
 
 
 class TestAdversariality:
-    def test_beats_random_directions(self):
+    def test_beats_random_directions(self, monkeypatch):
         # The probe gradient pins the adversarial line but not the sign
-        # along it (the quadratic approximation is sign-blind), so the
-        # better of +r_adv and -r_adv beats a random direction almost
-        # always; a random direction in its place wins on about 60% of rows.
+        # along it (the quadratic approximation is sign-blind); two power
+        # iterations settle the line well enough that even a wrong-sign
+        # perturbation beats a random direction almost always.
+        monkeypatch.setattr("rdec.vat.POWER_ITERATIONS", 2)
         model, data = trained_toy_model(seed=0)
         x = data[:200]
         q_ref = model.predict(x)
@@ -171,8 +180,7 @@ class TestAdversariality:
         random_dirs = np.random.default_rng(13).standard_normal(x.shape)
         random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
 
-        kl_adv = np.maximum(per_row_kl(q_ref, model.predict(x + r_adv)),
-                            per_row_kl(q_ref, model.predict(x - r_adv)))
+        kl_adv = per_row_kl(q_ref, model.predict(x + r_adv))
         kl_rand = per_row_kl(q_ref, model.predict(x + random_dirs))
         wins = np.mean(kl_adv >= kl_rand - 1e-15)
         assert wins >= 0.95
