@@ -6,8 +6,8 @@ assignments are sharpened into a frequency-normalized target, and the
 model is trained to match that target under a KL objective. The gradient
 helper differentiates the KL with respect to both the embedded points and
 the centroids while the target stays fixed, and returns the assignments
-it computed on the way, so one distance pass serves both. The sharpening
-exponent has no default: ``TrainConfig.s`` states it.
+it computed on the way, so one distance pass serves both. The target
+squares q, DEC's fixed sharpening exponent.
 """
 
 from __future__ import annotations
@@ -63,21 +63,19 @@ def soft_assign(z: Matrix, centroids: Matrix) -> Matrix:
     return _distances_and_q(z, centroids)[1]
 
 
-def target_distribution(q: Matrix, s: float) -> Matrix:
+def target_distribution(q: Matrix) -> Matrix:
     """Sharpen soft assignments into the self-training target p, shape (n, k).
 
-    Each q is raised to the power s and divided by its soft cluster
-    frequency (column sum), then rows are renormalized to sum to 1.
-    Raising s pushes rows toward their argmax; the frequency division
-    biases marginal points toward less populated clusters.
+    Each q is squared and divided by its soft cluster frequency (column
+    sum), then rows are renormalized to sum to 1. Squaring pushes rows
+    toward their argmax; the frequency division biases marginal points
+    toward less populated clusters.
     """
-    if s < 1.0:
-        raise ValueError(f"sharpening exponent must be >= 1, got {s}")
     frequencies = q.sum(axis=0)
     if np.any(frequencies <= 0.0):
         dead = np.flatnonzero(frequencies <= 0.0).tolist()
         raise DegenerateClusterError(f"clusters {dead} have zero soft frequency")
-    weighted = q**s / frequencies
+    weighted = q**2 / frequencies
     return weighted / weighted.sum(axis=1, keepdims=True)
 
 

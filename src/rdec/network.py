@@ -5,7 +5,7 @@ canonical clustering architecture is ``d-500-500-2000-L`` for the encoder
 and its mirror for the decoder, with ReLU on the internal layers and
 linear embedding/output layers. The full-data passes, ``encode`` and
 ``reconstruction_loss``, stream ``ENCODE_CHUNK`` rows at a time; SGD
-momentum has no default, since ``TrainConfig`` states it."""
+momentum has no default, since ``trainer.MOMENTUM`` states it."""
 
 from __future__ import annotations
 

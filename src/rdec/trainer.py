@@ -43,18 +43,21 @@ _STREAM_SHUFFLE = 2
 _STREAM_VAT = 3
 _STREAM_KMEANS = 4
 
+# SGD momentum of both phases, fixed as in DEC; no field.
+MOMENTUM = 0.9
+
 ProgressFn = Callable[[dict], None]
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings, checked when built: a bad value raises ValueError,
-    and ``dataclasses.replace`` checks the new settings again."""
+    and ``dataclasses.replace`` checks the new settings again. DEC's fixed
+    choices are no fields: α, the target's square and ``MOMENTUM``."""
 
     alpha: ClassVar[float] = 1.0  # Student-t degrees of freedom, fixed as in DEC; no field
     method: str = "rdec"
     gamma: float = 5.0
-    s: float = 2.0
     epsilon: float = 1.0  # VAT perturbation radius, input-space units
     xi: float = 10.0  # VAT probe scale for the power-iteration gradient
     tau: int = 140
@@ -62,11 +65,8 @@ class TrainConfig:
     max_iter: int = 20_000
     batch_size: int = 256
     pretrain_epochs: int = 300
-    # Both phases train with SGD momentum (SgdMomentum).
     pretrain_lr: float = 1.0
-    pretrain_momentum: float = 0.9
     finetune_lr: float = 0.01
-    finetune_momentum: float = 0.9
     kmeans_restarts: int = 20
     seed: int = 0
 
@@ -82,23 +82,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name, value in (("gamma", self.gamma), ("s", self.s)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.s < 1.0:
-            raise ValueError(f"s must be >= 1, got {self.s}")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
         for name in ("pretrain_lr", "finetune_lr"):
             lr = getattr(self, name)
             if not (math.isfinite(lr) and lr > 0):
                 raise ValueError(f"{name} must be finite and positive, got {lr}")
-        for name in ("pretrain_momentum", "finetune_momentum"):
-            momentum = getattr(self, name)
-            if not 0.0 <= momentum < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {momentum}")
         vat.check_settings(self.epsilon, self.xi)
 
 
@@ -268,17 +261,17 @@ def pretrain(
     """Train encoder+decoder in place to reconstruct the data; returns final loss.
 
     Mini-batch reconstruction training for ``pretrain_epochs`` epochs with
-    SGD momentum, one optimizer per layer. A non-finite batch loss raises
-    FloatingPointError naming the epoch and batch before any layer steps;
-    per-epoch mean batch losses are emitted through the progress callback.
+    SGD momentum ``MOMENTUM``, one optimizer per layer. A non-finite batch
+    loss raises FloatingPointError naming the epoch and batch before any
+    layer steps; per-epoch mean batch losses are emitted through the
+    progress callback.
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
     # One stack over the encoder's and decoder's own layer arrays.
     autoencoder = Network(encoder.layers + decoder.layers)
-    optimizers = [SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
-                  for _ in autoencoder.layers]
+    optimizers = [SgdMomentum(cfg.pretrain_lr, MOMENTUM) for _ in autoencoder.layers]
     n = data.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         losses = []
@@ -351,7 +344,7 @@ def finetune(
     # At the first refresh the encoder has not moved since K-means embedded the data.
     q_full = soft_assign(z, model.centroids)
     # One optimizer per encoder layer, then one for the centroids.
-    optimizers = [SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
+    optimizers = [SgdMomentum(cfg.finetune_lr, MOMENTUM)
                   for _ in range(len(encoder.layers) + 1)]
     batch_iter = _endless_batches(n, cfg.batch_size,
                                   np.random.default_rng([cfg.seed, _STREAM_SHUFFLE]))
@@ -365,7 +358,7 @@ def finetune(
             if it > 0:
                 q_full = model.predict(data)
             prev_assign, assignments = assignments, q_full.argmax(axis=1)
-            target_full = target_distribution(q_full, cfg.s)
+            target_full = target_distribution(q_full)
             ckpt_loss = kl_divergence(target_full, q_full) / n
             acc, ari = _scores(labels, assignments)
             rate = None if prev_assign is None else label_change_rate(prev_assign, assignments)

@@ -579,7 +579,6 @@ NON_DEFAULT_TRAINING = """
 method = dec
 seed = 7
 gamma = 0.5
-s = 3
 epsilon = 0.25
 xi = 4
 tau = 9
@@ -588,17 +587,14 @@ max_iter = 33
 batch_size = 17
 pretrain.epochs = 11
 pretrain.lr = 0.003
-pretrain.momentum = 0.8
 finetune.lr = 0.002
-finetune.momentum = 0.6
 kmeans.restarts = 3
 """
 
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
-    method="dec", seed=7, gamma=0.5, s=3.0, epsilon=0.25, xi=4.0,
+    method="dec", seed=7, gamma=0.5, epsilon=0.25, xi=4.0,
     tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
-    pretrain_lr=0.003, pretrain_momentum=0.8, finetune_lr=0.002, finetune_momentum=0.6,
-    kmeans_restarts=3,
+    pretrain_lr=0.003, finetune_lr=0.002, kmeans_restarts=3,
 )
 
 
@@ -686,13 +682,12 @@ class TestTrainConfigMapping:
         assert sorted(TRAINING_KEYS.values()) == sorted(f.name for f in fields(TrainConfig))
         # each key's name and parser, as the hand-written table spelled them
         assert {key: PARSERS[key] for key in TRAINING_KEYS} == {
-            "method": str, "gamma": float, "s": float, "epsilon": float, "xi": float,
+            "method": str, "gamma": float, "epsilon": float, "xi": float,
             "tau": int, "sigma": float, "max_iter": int, "batch_size": int,
-            "pretrain.epochs": int, "pretrain.lr": float, "pretrain.momentum": float,
-            "finetune.lr": float, "finetune.momentum": float, "kmeans.restarts": int,
-            "seed": int,
+            "pretrain.epochs": int, "pretrain.lr": float, "finetune.lr": float,
+            "kmeans.restarts": int, "seed": int,
         }
-        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 16
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 13
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -762,6 +757,9 @@ class TestSetOption:
         (["seed=9", "bogus=1"], "--set:2: unknown key 'bogus'"),
         (["alpha=2"], "--set:1: unknown key 'alpha'"),  # fixed at 1, as in DEC
         (["ip=1"], "--set:1: unknown key 'ip'"),  # VAT probes once
+        (["s=2"], "--set:1: unknown key 's'"),  # DEC's square
+        (["pretrain.momentum=0.9"], "--set:1: unknown key 'pretrain.momentum'"),  # fixed at 0.9
+        (["finetune.momentum=0.9"], "--set:1: unknown key 'finetune.momentum'"),  # fixed at 0.9
         (["gamma=high"], "--set:1: bad value for gamma: "
                          "could not convert string to float: 'high'"),
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
@@ -773,7 +771,8 @@ class TestSetOption:
         (["subsample.counts="], "explicit_counts mode needs counts"),
         (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
-    ], ids=["unknown-key", "alpha", "ip", "bad-value", "duplicate", "no-equals", "invalid",
+    ], ids=["unknown-key", "alpha", "ip", "s", "pretrain-momentum", "finetune-momentum",
+            "bad-value", "duplicate", "no-equals", "invalid",
             "subsample-mode", "subsample-r-min", "single-class-no-target",
             "explicit-counts-no-counts", "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,

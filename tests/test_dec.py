@@ -87,10 +87,38 @@ class TestSoftAssign:
         assert np.all(q > 0.0) and np.all(q < 1.0 + 1e-12)
 
 
+def reference_target_distribution(q):
+    """DEC's target as computed with a sharpening exponent argument, at s = 2."""
+    s = 2.0
+    if s < 1.0:
+        raise ValueError(f"sharpening exponent must be >= 1, got {s}")
+    frequencies = q.sum(axis=0)
+    if np.any(frequencies <= 0.0):
+        dead = np.flatnonzero(frequencies <= 0.0).tolist()
+        raise DegenerateClusterError(f"clusters {dead} have zero soft frequency")
+    weighted = q**s / frequencies
+    return weighted / weighted.sum(axis=1, keepdims=True)
+
+
 class TestTargetDistribution:
+    def test_matches_the_exponent_form_at_two_bit_for_bit(self, rng):
+        with_zeros = 0
+        for case in range(200):
+            n, k = int(rng.integers(1, 51)), int(rng.integers(1, 11))
+            raw = rng.random((n, k))
+            if case % 2:
+                # exact zeros in q, keeping a positive entry in every row and column
+                raw[rng.random((n, k)) < 0.4] = 0.0
+                raw[np.arange(n), rng.integers(0, k, size=n)] = rng.random(n) + 0.01
+                raw[rng.integers(0, n, size=k), np.arange(k)] = rng.random(k) + 0.01
+            q = raw / raw.sum(axis=1, keepdims=True)
+            with_zeros += bool(np.any(q == 0.0))
+            assert target_distribution(q).tobytes() == reference_target_distribution(q).tobytes()
+        assert with_zeros >= 50
+
     def test_hand_evaluated_sharpening(self):
         q = np.array([[0.8, 0.2], [0.2, 0.8]])
-        target = target_distribution(q, s=2.0)
+        target = target_distribution(q)
         np.testing.assert_allclose(q.sum(axis=0), [1.0, 1.0])
         np.testing.assert_allclose(
             target[0], [0.64 / 0.68, 0.04 / 0.68], atol=1e-12
@@ -99,46 +127,34 @@ class TestTargetDistribution:
 
     def test_uniform_rows_stay_uniform(self):
         q = np.full((5, 4), 0.25)
-        target = target_distribution(q, s=2.0)
+        target = target_distribution(q)
         np.testing.assert_allclose(target, 0.25, atol=1e-12)
-
-    def test_s1_with_equal_frequencies_is_identity(self):
-        q = np.array([[0.7, 0.3], [0.3, 0.7]])
-        target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target, q, atol=1e-15)
 
     def test_degenerate_cluster_raises(self):
         q = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateClusterError, match=r"\[1\]"):
-            target_distribution(q, s=2.0)
-
-    def test_s_below_one_rejected(self):
-        q = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
-            target_distribution(q, s=0.5)
+            target_distribution(q)
+        with pytest.raises(DegenerateClusterError, match=r"\[0, 2\]"):
+            target_distribution(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
 
     @settings(deadline=None, max_examples=50)
-    @given(
-        arrays(np.float64, (6, 3), elements=st.floats(0.01, 1.0)),
-        st.floats(1.0, 4.0),
-    )
-    def test_sharpening_properties(self, raw, s):
+    @given(arrays(np.float64, (6, 3), elements=st.floats(0.01, 1.0)))
+    def test_sharpening_properties(self, raw):
         q = raw / raw.sum(axis=1, keepdims=True)
-        target = target_distribution(q, s=s)
+        target = target_distribution(q)
         np.testing.assert_allclose(target.sum(axis=1), 1.0, atol=1e-9)
-        # argmax of each target row equals argmax of q^s / f
-        scores = q**s / q.sum(axis=0)
+        # argmax of each target row equals argmax of q^2 / f
+        scores = q**2 / q.sum(axis=0)
         np.testing.assert_array_equal(target.argmax(axis=1), scores.argmax(axis=1))
 
     def test_uniform_frequencies_raise_peak(self, rng):
         # symmetric q -> equal frequencies; sharpened rows peak higher
-        for s in (1.5, 2.0, 3.0):
-            base = rng.uniform(0.05, 1.0, size=(4,))
-            q_rows = [np.roll(base, shift) for shift in range(4)]
-            q = np.array(q_rows)
-            q = q / q.sum(axis=1, keepdims=True)
-            target = target_distribution(q, s=s)
-            assert np.all(target.max(axis=1) >= q.max(axis=1) - 1e-12)
+        base = rng.uniform(0.05, 1.0, size=(4,))
+        q_rows = [np.roll(base, shift) for shift in range(4)]
+        q = np.array(q_rows)
+        q = q / q.sum(axis=1, keepdims=True)
+        target = target_distribution(q)
+        assert np.all(target.max(axis=1) >= q.max(axis=1) - 1e-12)
 
 
 class TestKlDivergence:
@@ -169,12 +185,10 @@ class TestKlDivergence:
 
 class TestClusteringGrads:
     def test_zero_at_kl_minimum(self):
-        # symmetric configuration: equal frequencies, s=1 gives target == q
+        # symmetric configuration: the target q itself is the KL minimum
         z = np.array([[0.0, 0.0], [2.0, 2.0]])
         centroids = np.array([[0.0, 0.0], [2.0, 2.0]])
-        q = soft_assign(z, centroids)
-        target = target_distribution(q, s=1.0)
-        np.testing.assert_allclose(target, q, atol=1e-15)
+        target = q = soft_assign(z, centroids)
         _, grad_z, grad_u = clustering_grads(z, centroids, target)
         np.testing.assert_allclose(grad_z, 0.0, atol=1e-12)
         np.testing.assert_allclose(grad_u, 0.0, atol=1e-12)
@@ -183,7 +197,7 @@ class TestClusteringGrads:
         z = rng.standard_normal((5, 2))
         centroids = rng.standard_normal((3, 2))
         q = soft_assign(z, centroids)
-        p = target_distribution(q, s=2.0)  # frozen
+        p = target_distribution(q)  # frozen
 
         _, grad_z, grad_u = clustering_grads(z, centroids, p)
         fd_z = numerical_grad(
@@ -198,7 +212,7 @@ class TestClusteringGrads:
     def test_translation_invariance(self, rng):
         z = rng.standard_normal((4, 3))
         centroids = rng.standard_normal((2, 3))
-        p = target_distribution(soft_assign(z, centroids), s=2.0)
+        p = target_distribution(soft_assign(z, centroids))
         _, g_z, _ = clustering_grads(z, centroids, p)
         shift = rng.standard_normal(3)
         _, g_z_shifted, _ = clustering_grads(z + shift, centroids + shift, p)

@@ -51,7 +51,7 @@ def small_decoder(seed, latent=2, hidden=32, out_dim=2):
 
 def fast_config(**overrides):
     base = dict(
-        method="dec", gamma=0.0, s=2.0, tau=20, sigma=0.01, max_iter=400,
+        method="dec", gamma=0.0, tau=20, sigma=0.01, max_iter=400,
         batch_size=128, pretrain_epochs=0, kmeans_restarts=5, seed=0,
     )
     base.update(overrides)
@@ -70,9 +70,9 @@ def list_step_replay(start, centroids, data, cfg):
     model = ClusterModel(copy.deepcopy(start), centroids.copy(), cfg.alpha)
     n = len(data)
     q = model.predict(data)
-    target = target_distribution(q, cfg.s)
+    target = target_distribution(q)
     params = model.parameters()
-    optimizer = SgdMomentum(cfg.finetune_lr, cfg.finetune_momentum)
+    optimizer = SgdMomentum(cfg.finetune_lr, trainer.MOMENTUM)
     # every batch comes from the first epoch
     assert cfg.max_iter * cfg.batch_size <= n
     perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
@@ -117,12 +117,12 @@ class TestLabelChangeRate:
 
 
 def test_only_train_config_states_the_training_defaults():
-    # K-means restarts, SGD momentum and the sharpening exponent come from
-    # TrainConfig's fields; ACC's cluster cap and K-means' Lloyd cap are
-    # module constants.
-    for function, name in ((kmeans, "restarts"), (SgdMomentum, "momentum"),
-                           (target_distribution, "s")):
+    # K-means restarts come from TrainConfig's field and SGD momentum from
+    # trainer.MOMENTUM; DEC's square is inside target_distribution, and ACC's
+    # cluster cap and K-means' Lloyd cap are module constants.
+    for function, name in ((kmeans, "restarts"), (SgdMomentum, "momentum")):
         assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
+    assert "s" not in inspect.signature(target_distribution).parameters
     assert "max_clusters" not in inspect.signature(accuracy).parameters
     assert "max_iter" not in inspect.signature(kmeans).parameters
 
@@ -131,7 +131,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"method": "bogus"},
         {"gamma": -1.0},
-        {"s": 0.5},
         {"tau": 0},
         {"sigma": 0.0},
         {"sigma": 1.0},
@@ -143,8 +142,6 @@ class TestConfigValidation:
         {"xi": 0.0},
         {"gamma": float("nan")},
         {"gamma": float("inf")},
-        {"s": float("nan")},
-        {"s": float("inf")},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
         {"xi": float("nan")},
@@ -172,10 +169,6 @@ class TestConfigValidation:
         ("pretrain_lr", float("inf")),
         ("finetune_lr", -1.0),
         ("finetune_lr", float("nan")),
-        ("pretrain_momentum", 1.0),
-        ("pretrain_momentum", float("nan")),
-        ("finetune_momentum", -0.1),
-        ("finetune_momentum", 1.5),
     ])
     def test_rejects_a_bad_step_setting_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -196,9 +189,6 @@ class TestConfigValidation:
         for alpha in (2.0, 0.0, float("nan")):
             with pytest.raises(ValueError, match="alpha is fixed at 1.0"):
                 ClusterModel(encoder, np.eye(2), alpha)
-
-    def test_accepts_zero_momentum(self):
-        fast_config(pretrain_momentum=0.0, finetune_momentum=0.0)
 
     def test_fields_cannot_be_assigned(self):
         cfg = fast_config()
@@ -328,9 +318,9 @@ class TestPretrain:
     def test_one_stack_matches_two_stacks(self, monkeypatch):
         data, _ = two_gaussians(n=100, seed=4)
         data = (data - data.min()) / (data.max() - data.min())
-        # a path that ignores pretrain_momentum fails below
-        cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5, pretrain_lr=0.05,
-                          pretrain_momentum=0.5)
+        # a path that ignores trainer.MOMENTUM fails below
+        monkeypatch.setattr(trainer, "MOMENTUM", 0.5)
+        cfg = fast_config(pretrain_epochs=3, batch_size=32, seed=5, pretrain_lr=0.05)
         calls = {"forward": 0, "backward": 0}
 
         def counted(name):
@@ -352,7 +342,7 @@ class TestPretrain:
         # Reference: the encoder and decoder run as two stacks, bit for bit.
         ref_encoder, ref_decoder = small_encoder(5), small_decoder(5)
         params = ref_encoder.parameters() + ref_decoder.parameters()
-        optimizer = SgdMomentum(cfg.pretrain_lr, cfg.pretrain_momentum)
+        optimizer = SgdMomentum(cfg.pretrain_lr, 0.5)
         rng = np.random.default_rng([cfg.seed, trainer._STREAM_PRETRAIN])
         for _ in range(cfg.pretrain_epochs):
             for idx in trainer._epoch_batches(len(data), cfg.batch_size, rng):
