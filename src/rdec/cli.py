@@ -100,8 +100,8 @@ SCHEMA = {
 }
 
 # Each TrainConfig field is set by one training key: the field name, the first
-# underscore of a pretrain_, finetune_ or kmeans_ field read as a dot.
-TRAINING_KEYS = {re.sub(r"^(pretrain|finetune|kmeans)_", r"\1.", f.name): f.name
+# underscore of a pretrain_ or kmeans_ field read as a dot.
+TRAINING_KEYS = {re.sub(r"^(pretrain|kmeans)_", r"\1.", f.name): f.name
                  for f in fields(TrainConfig)}
 # Every legal key's parser; a training key's is the type of its field's default.
 PARSERS = {**SCHEMA, **{key: type(getattr(TrainConfig, name))

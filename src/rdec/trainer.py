@@ -5,7 +5,7 @@ a weighted virtual-adversarial consistency term; ``_step`` takes one step
 of it. ``finetune`` is the loop around it: the sharpened target
 distribution is refreshed from a full-dataset pass every ``tau``
 iterations, and training stops when the fraction of points whose hard
-assignment changed between consecutive refreshes drops below ``sigma``,
+assignment changed between consecutive refreshes drops below ``SIGMA``,
 or at the iteration cap.
 
 Batch losses are means over batch rows; both phases check a batch's loss
@@ -43,8 +43,11 @@ _STREAM_SHUFFLE = 2
 _STREAM_VAT = 3
 _STREAM_KMEANS = 4
 
-# SGD momentum of both phases, fixed as in DEC; no field.
+# Fixed as in DEC; no fields: SGD momentum of both phases, fine-tuning's
+# learning rate, and the label-change rate below which fine-tuning stops.
 MOMENTUM = 0.9
+FINETUNE_LR = 0.01
+SIGMA = 0.01
 
 ProgressFn = Callable[[dict], None]
 
@@ -53,7 +56,8 @@ ProgressFn = Callable[[dict], None]
 class TrainConfig:
     """Training settings, checked when built: a bad value raises ValueError,
     and ``dataclasses.replace`` checks the new settings again. DEC's fixed
-    choices are no fields: α, the target's square and ``MOMENTUM``."""
+    choices are no fields: α, the target's square, ``MOMENTUM``,
+    ``FINETUNE_LR`` and ``SIGMA``."""
 
     alpha: ClassVar[float] = 1.0  # Student-t degrees of freedom, fixed as in DEC; no field
     method: str = "rdec"
@@ -61,12 +65,10 @@ class TrainConfig:
     epsilon: float = 1.0  # VAT perturbation radius, input-space units
     xi: float = 10.0  # VAT probe scale for the power-iteration gradient
     tau: int = 140
-    sigma: float = 0.01
     max_iter: int = 20_000
     batch_size: int = 256
     pretrain_epochs: int = 300
     pretrain_lr: float = 1.0
-    finetune_lr: float = 0.01
     kmeans_restarts: int = 20
     seed: int = 0
 
@@ -86,12 +88,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-        for name in ("pretrain_lr", "finetune_lr"):
-            lr = getattr(self, name)
-            if not (math.isfinite(lr) and lr > 0):
-                raise ValueError(f"{name} must be finite and positive, got {lr}")
+        if not (math.isfinite(self.pretrain_lr) and self.pretrain_lr > 0):
+            raise ValueError(f"pretrain_lr must be finite and positive, got {self.pretrain_lr}")
         vat.check_settings(self.epsilon, self.xi)
 
 
@@ -344,8 +342,7 @@ def finetune(
     # At the first refresh the encoder has not moved since K-means embedded the data.
     q_full = soft_assign(z, model.centroids)
     # One optimizer per encoder layer, then one for the centroids.
-    optimizers = [SgdMomentum(cfg.finetune_lr, MOMENTUM)
-                  for _ in range(len(encoder.layers) + 1)]
+    optimizers = [SgdMomentum(FINETUNE_LR, MOMENTUM) for _ in range(len(encoder.layers) + 1)]
     batch_iter = _endless_batches(n, cfg.batch_size,
                                   np.random.default_rng([cfg.seed, _STREAM_SHUFFLE]))
 
@@ -366,7 +363,7 @@ def finetune(
             checkpoints.append(record)
             if progress is not None:
                 progress({"phase": "finetune", **asdict(record)})
-            if rate is not None and rate < cfg.sigma:
+            if rate is not None and rate < SIGMA:
                 stop_reason = "converged"
                 break
         idx = next(batch_iter)

@@ -224,9 +224,8 @@ def test_c5_dec_equivalence():
     outputs = {}
     for method in ("dec", "rdec"):
         encoder = random_relu_net(np.random.default_rng(9), 2, 24, 2)
-        cfg = TrainConfig(method=method, gamma=0.0, tau=15, sigma=0.001,
-                          max_iter=70, batch_size=64, pretrain_epochs=0,
-                          kmeans_restarts=5, seed=31)
+        cfg = TrainConfig(method=method, gamma=0.0, tau=15, max_iter=70, batch_size=64,
+                          pretrain_epochs=0, kmeans_restarts=5, seed=31)
         assignments, report = finetune(encoder, data, 2, cfg, labels=labels)
         outputs[method] = (assignments, report, [p.copy() for p in encoder.parameters()])
 
@@ -269,9 +268,8 @@ def test_c7_synthetic_end_to_end():
     raw, labels = two_gaussians(n=400, separation=8.0, scale=0.5, seed=7)
     data = (raw - raw.min()) / (raw.max() - raw.min())
 
-    base_cfg = TrainConfig(method="dec", gamma=0.0, tau=20, sigma=0.01,
-                           max_iter=2000, batch_size=256, pretrain_epochs=15,
-                           pretrain_lr=0.5, kmeans_restarts=10, seed=5)
+    base_cfg = TrainConfig(method="dec", gamma=0.0, tau=20, max_iter=2000, batch_size=256,
+                           pretrain_epochs=15, pretrain_lr=0.5, kmeans_restarts=10, seed=5)
     encoder, decoder = build_network(2, 2, seed=5)
     pretrain(encoder, decoder, data, base_cfg)
 
@@ -333,8 +331,8 @@ def load_mnist_06():
 
 def desk_config(method, seed):
     return TrainConfig(method=method, gamma=5.0 if method == "rdec" else 0.0,
-                       epsilon=1.0, xi=10.0, tau=140, sigma=0.01,
-                       max_iter=20_000, batch_size=256, pretrain_epochs=300, seed=seed)
+                       epsilon=1.0, xi=10.0, tau=140, max_iter=20_000, batch_size=256,
+                       pretrain_epochs=300, seed=seed)
 
 
 @pytest.fixture(scope="session")

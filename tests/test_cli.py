@@ -67,7 +67,6 @@ seed = 3
 method = rdec
 gamma = 1
 tau = 10
-sigma = 0.01
 max_iter = 40
 batch_size = 32
 pretrain.epochs = 2
@@ -311,17 +310,17 @@ class TestTrainCommand:
         assert not (tmp_path / "r").exists()
 
 
-    def test_negative_finetune_lr_exits_2_before_any_encode(self, tmp_path, idx_fixture,
+    def test_negative_pretrain_lr_exits_2_before_any_encode(self, tmp_path, idx_fixture,
                                                             pretrained, capsys, monkeypatch):
         def no_encode(*args):
             raise AssertionError("encode ran")
 
         monkeypatch.setattr(cli, "encode", no_encode)
         monkeypatch.setattr(trainer, "encode", no_encode)
-        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
-                           extra="finetune.lr = -1\n")
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
+        cfg.write_text(cfg.read_text().replace("pretrain.lr = 0.1", "pretrain.lr = -1"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "finetune_lr" in capsys.readouterr().err
+        assert "pretrain_lr" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_zero_kmeans_restarts_exits_2_before_the_data_loads(self, tmp_path, idx_fixture,
@@ -582,19 +581,17 @@ gamma = 0.5
 epsilon = 0.25
 xi = 4
 tau = 9
-sigma = 0.2
 max_iter = 33
 batch_size = 17
 pretrain.epochs = 11
 pretrain.lr = 0.003
-finetune.lr = 0.002
 kmeans.restarts = 3
 """
 
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
     method="dec", seed=7, gamma=0.5, epsilon=0.25, xi=4.0,
-    tau=9, sigma=0.2, max_iter=33, batch_size=17, pretrain_epochs=11,
-    pretrain_lr=0.003, finetune_lr=0.002, kmeans_restarts=3,
+    tau=9, max_iter=33, batch_size=17, pretrain_epochs=11,
+    pretrain_lr=0.003, kmeans_restarts=3,
 )
 
 
@@ -683,11 +680,11 @@ class TestTrainConfigMapping:
         # each key's name and parser, as the hand-written table spelled them
         assert {key: PARSERS[key] for key in TRAINING_KEYS} == {
             "method": str, "gamma": float, "epsilon": float, "xi": float,
-            "tau": int, "sigma": float, "max_iter": int, "batch_size": int,
-            "pretrain.epochs": int, "pretrain.lr": float, "finetune.lr": float,
+            "tau": int, "max_iter": int, "batch_size": int,
+            "pretrain.epochs": int, "pretrain.lr": float,
             "kmeans.restarts": int, "seed": int,
         }
-        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 13
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 11
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -760,6 +757,8 @@ class TestSetOption:
         (["s=2"], "--set:1: unknown key 's'"),  # DEC's square
         (["pretrain.momentum=0.9"], "--set:1: unknown key 'pretrain.momentum'"),  # fixed at 0.9
         (["finetune.momentum=0.9"], "--set:1: unknown key 'finetune.momentum'"),  # fixed at 0.9
+        (["sigma=0.01"], "--set:1: unknown key 'sigma'"),  # DEC's stop threshold
+        (["finetune.lr=0.01"], "--set:1: unknown key 'finetune.lr'"),  # fixed at 0.01
         (["gamma=high"], "--set:1: bad value for gamma: "
                          "could not convert string to float: 'high'"),
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
@@ -772,7 +771,7 @@ class TestSetOption:
         (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
     ], ids=["unknown-key", "alpha", "ip", "s", "pretrain-momentum", "finetune-momentum",
-            "bad-value", "duplicate", "no-equals", "invalid",
+            "sigma", "finetune-lr", "bad-value", "duplicate", "no-equals", "invalid",
             "subsample-mode", "subsample-r-min", "single-class-no-target",
             "explicit-counts-no-counts", "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,

@@ -29,9 +29,8 @@ def digits_06():
 
 
 def run_both_methods(ds, seed=0, epsilon=0.5):
-    cfg = TrainConfig(method="dec", gamma=0.0, tau=20, sigma=0.01,
-                      max_iter=2000, batch_size=128, pretrain_epochs=40,
-                      seed=seed)
+    cfg = TrainConfig(method="dec", gamma=0.0, tau=20, max_iter=2000, batch_size=128,
+                      pretrain_epochs=40, seed=seed)
     encoder, decoder = build_network(ds.dim, 2, seed=seed)
     pretrain(encoder, decoder, ds.features, cfg)
     out = {}

@@ -51,7 +51,7 @@ def small_decoder(seed, latent=2, hidden=32, out_dim=2):
 
 def fast_config(**overrides):
     base = dict(
-        method="dec", gamma=0.0, tau=20, sigma=0.01, max_iter=400,
+        method="dec", gamma=0.0, tau=20, max_iter=400,
         batch_size=128, pretrain_epochs=0, kmeans_restarts=5, seed=0,
     )
     base.update(overrides)
@@ -72,7 +72,7 @@ def list_step_replay(start, centroids, data, cfg):
     q = model.predict(data)
     target = target_distribution(q)
     params = model.parameters()
-    optimizer = SgdMomentum(cfg.finetune_lr, trainer.MOMENTUM)
+    optimizer = SgdMomentum(trainer.FINETUNE_LR, trainer.MOMENTUM)
     # every batch comes from the first epoch
     assert cfg.max_iter * cfg.batch_size <= n
     perm = np.random.default_rng([cfg.seed, trainer._STREAM_SHUFFLE]).permutation(n)
@@ -117,11 +117,14 @@ class TestLabelChangeRate:
 
 
 def test_only_train_config_states_the_training_defaults():
-    # K-means restarts come from TrainConfig's field and SGD momentum from
-    # trainer.MOMENTUM; DEC's square is inside target_distribution, and ACC's
-    # cluster cap and K-means' Lloyd cap are module constants.
+    # K-means restarts come from TrainConfig's field, SGD momentum from
+    # trainer.MOMENTUM, and fine-tuning's rate and stop threshold from
+    # trainer.FINETUNE_LR and trainer.SIGMA; DEC's square is inside
+    # target_distribution, and ACC's cluster cap and K-means' Lloyd cap are
+    # module constants.
     for function, name in ((kmeans, "restarts"), (SgdMomentum, "momentum")):
         assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
+    assert not {"sigma", "finetune_lr"} & {f.name for f in fields(TrainConfig)}
     assert "s" not in inspect.signature(target_distribution).parameters
     assert "max_clusters" not in inspect.signature(accuracy).parameters
     assert "max_iter" not in inspect.signature(kmeans).parameters
@@ -132,8 +135,6 @@ class TestConfigValidation:
         {"method": "bogus"},
         {"gamma": -1.0},
         {"tau": 0},
-        {"sigma": 0.0},
-        {"sigma": 1.0},
         {"batch_size": 0},
         {"max_iter": 0},
         {"seed": -1},
@@ -167,8 +168,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("pretrain_lr", 0.0),
         ("pretrain_lr", float("inf")),
-        ("finetune_lr", -1.0),
-        ("finetune_lr", float("nan")),
     ])
     def test_rejects_a_bad_step_setting_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -451,6 +450,29 @@ class TestFinetune:
         assert report.stop_reason == "max_iterations"
         assert len(report.final_assignments) == 100
 
+    @pytest.mark.parametrize("sigma, stop_reason, last_checkpoint", [
+        (1.0, "converged", 20),  # any change rate below 1 stops at the second refresh
+        (0.0, "max_iterations", 40),  # no change rate is below 0
+    ])
+    def test_the_stop_rule_reads_sigma(self, monkeypatch, sigma, stop_reason, last_checkpoint):
+        monkeypatch.setattr(trainer, "SIGMA", sigma)
+        data, _ = two_gaussians(n=200, seed=0)
+        _, report = finetune(small_encoder(1), data, 2, fast_config(tau=20, max_iter=50))
+        assert report.stop_reason == stop_reason
+        assert report.checkpoints[-1].iteration == last_checkpoint
+
+    def test_the_optimizers_read_finetune_lr(self, monkeypatch):
+        monkeypatch.setattr(trainer, "FINETUNE_LR", 0.0)
+        data, _ = two_gaussians(n=200, seed=0)
+        encoder, cfg = small_encoder(1), fast_config()
+        start = [p.copy() for p in encoder.parameters()]
+        centroids = trainer._kmeans(encode(encoder, data), 2, cfg).centroids
+        _, report = finetune(encoder, data, 2, cfg)
+        assert len(report.iterations) == cfg.tau  # nothing moves, so the second refresh stops
+        end = [*encoder.parameters(), report.final_centroids]
+        for before, after in zip([*start, centroids], end, strict=True):
+            assert after.tobytes() == before.tobytes()
+
     def test_determinism_same_seed(self):
         data, labels = two_gaussians(n=120, seed=8)
         outs = []
@@ -558,9 +580,10 @@ class TestFinetune:
         assert peak < 54 * 2**20
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow
-    def test_diverging_step_fails_at_the_first_non_finite_loss(self):
+    def test_diverging_step_fails_at_the_first_non_finite_loss(self, monkeypatch):
         data, _ = two_gaussians(n=200, seed=0)
-        cfg = fast_config(method="rdec", gamma=5.0, finetune_lr=1e200)
+        monkeypatch.setattr(trainer, "FINETUNE_LR", 1e200)
+        cfg = fast_config(method="rdec", gamma=5.0)
         with pytest.raises(FloatingPointError, match="clustering loss at iteration 1 "):
             finetune(small_encoder(1), data, 2, cfg)
 

@@ -155,9 +155,11 @@ def trained_toy_model(seed=0, dim=48):
         Layer(rng.standard_normal((64, 2)) * 0.3, np.zeros(2), "none"),
     ])
     cfg = TrainConfig(method="dec", gamma=0.0, tau=20, max_iter=200,
-                      batch_size=128, pretrain_epochs=0, sigma=1e-9,
-                      kmeans_restarts=5, seed=seed)
-    finetune(encoder, data, 2, cfg)
+                      batch_size=128, pretrain_epochs=0, kmeans_restarts=5, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        # the stop threshold these models were trained at
+        patch.setattr("rdec.trainer.SIGMA", 1e-9)
+        finetune(encoder, data, 2, cfg)
     from rdec.kmeans import kmeans
     from rdec.network import encode
 
