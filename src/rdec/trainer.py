@@ -43,11 +43,13 @@ _STREAM_SHUFFLE = 2
 _STREAM_VAT = 3
 _STREAM_KMEANS = 4
 
-# Fixed as in DEC; no fields: SGD momentum of both phases, fine-tuning's
+# Fixed; no fields. As in DEC: SGD momentum of both phases, fine-tuning's
 # learning rate, and the label-change rate below which fine-tuning stops.
+# Pretraining's learning rate is the one every shipped config runs.
 MOMENTUM = 0.9
 FINETUNE_LR = 0.01
 SIGMA = 0.01
+PRETRAIN_LR = 1.0
 
 ProgressFn = Callable[[dict], None]
 
@@ -55,9 +57,9 @@ ProgressFn = Callable[[dict], None]
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings, checked when built: a bad value raises ValueError,
-    and ``dataclasses.replace`` checks the new settings again. DEC's fixed
-    choices are no fields: α, the target's square, ``MOMENTUM``,
-    ``FINETUNE_LR`` and ``SIGMA``."""
+    and ``dataclasses.replace`` checks the new settings again. Fixed choices
+    are no fields: DEC's α, the target's square, ``MOMENTUM``,
+    ``FINETUNE_LR`` and ``SIGMA``, and pretraining's ``PRETRAIN_LR``."""
 
     alpha: ClassVar[float] = 1.0  # Student-t degrees of freedom, fixed as in DEC; no field
     method: str = "rdec"
@@ -68,7 +70,6 @@ class TrainConfig:
     max_iter: int = 20_000
     batch_size: int = 256
     pretrain_epochs: int = 300
-    pretrain_lr: float = 1.0
     kmeans_restarts: int = 20
     seed: int = 0
 
@@ -88,8 +89,6 @@ class TrainConfig:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not (math.isfinite(self.pretrain_lr) and self.pretrain_lr > 0):
-            raise ValueError(f"pretrain_lr must be finite and positive, got {self.pretrain_lr}")
         vat.check_settings(self.epsilon, self.xi)
 
 
@@ -259,17 +258,17 @@ def pretrain(
     """Train encoder+decoder in place to reconstruct the data; returns final loss.
 
     Mini-batch reconstruction training for ``pretrain_epochs`` epochs with
-    SGD momentum ``MOMENTUM``, one optimizer per layer. A non-finite batch
-    loss raises FloatingPointError naming the epoch and batch before any
-    layer steps; per-epoch mean batch losses are emitted through the
-    progress callback.
+    SGD at rate ``PRETRAIN_LR`` and momentum ``MOMENTUM``, one optimizer per
+    layer. A non-finite batch loss raises FloatingPointError naming the
+    epoch and batch before any layer steps; per-epoch mean batch losses are
+    emitted through the progress callback.
     """
     if data.shape[0] == 0:
         raise ValueError("cannot pretrain on an empty dataset")
     rng = np.random.default_rng([cfg.seed, _STREAM_PRETRAIN])
     # One stack over the encoder's and decoder's own layer arrays.
     autoencoder = Network(encoder.layers + decoder.layers)
-    optimizers = [SgdMomentum(cfg.pretrain_lr, MOMENTUM) for _ in autoencoder.layers]
+    optimizers = [SgdMomentum(PRETRAIN_LR, MOMENTUM) for _ in autoencoder.layers]
     n = data.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         losses = []

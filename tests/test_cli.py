@@ -57,6 +57,15 @@ def idx_fixture(tmp_path_factory):
     return img_path, lab_path
 
 
+@pytest.fixture(scope="module", autouse=True)
+def pretrain_lr():
+    """Every pretraining run here steps at SGD rate 0.1, not the 784-pixel
+    ``trainer.PRETRAIN_LR``: the fixture's images have 16 pixels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "PRETRAIN_LR", 0.1)
+        yield
+
+
 BASE_CONFIG = """
 data.format = idx
 data.images = {images}
@@ -70,7 +79,6 @@ tau = 10
 max_iter = 40
 batch_size = 32
 pretrain.epochs = 2
-pretrain.lr = 0.1
 kmeans.restarts = 5
 model = {model}
 """
@@ -291,6 +299,15 @@ class TestTrainCommand:
         assert loads == []
         assert not (tmp_path / "r").exists()
 
+    def test_model_for_other_inputs_exits_2(self, tmp_path, idx_fixture, capsys):
+        # The fixture's images have 16 pixels; this model reads 25.
+        model = tmp_path / "wide.bin"
+        save_model(model, *build_network(25, 2, seed=0))
+        cfg = write_config(tmp_path, idx_fixture, model=str(model))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: model expects 25-dim inputs, dataset has 16\n"
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_key_exits_2(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture, extra="bogus_key = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
@@ -307,20 +324,6 @@ class TestTrainCommand:
         cfg.write_text(cfg.read_text().replace("method = rdec", "method = spectral"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "spectral" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
-
-    def test_negative_pretrain_lr_exits_2_before_any_encode(self, tmp_path, idx_fixture,
-                                                            pretrained, capsys, monkeypatch):
-        def no_encode(*args):
-            raise AssertionError("encode ran")
-
-        monkeypatch.setattr(cli, "encode", no_encode)
-        monkeypatch.setattr(trainer, "encode", no_encode)
-        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained))
-        cfg.write_text(cfg.read_text().replace("pretrain.lr = 0.1", "pretrain.lr = -1"))
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "pretrain_lr" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_zero_kmeans_restarts_exits_2_before_the_data_loads(self, tmp_path, idx_fixture,
@@ -409,15 +412,20 @@ class TestTrainCommand:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "subsample"])
-    @pytest.mark.parametrize("case", ["csv-label-only", "idx-no-pixels", "idx-no-rows"])
+    @pytest.mark.parametrize("case", ["csv-label-only", "csv-header-only", "idx-no-pixels",
+                                      "idx-no-rows"])
     def test_data_without_features_or_rows_exits_2(self, tmp_path, capsys, command, case):
-        if case == "csv-label-only":
+        if case.startswith("csv"):
             path = tmp_path / "in.csv"
-            path.write_text("label\n0\n1\n0\n1\n")
+            if case == "csv-label-only":
+                path.write_text("label\n0\n1\n0\n1\n")
+                message = f"{path}: no feature columns in header"
+            else:
+                path.write_text("a,label\n")
+                message = f"{path}: no data rows"
             cfg = tmp_path / "csv.cfg"
             cfg.write_text(f"data.format = csv\ndata.path = {path}\n"
                            "data.label_column = label\nk = 2\n")
-            message = f"{path}: no feature columns in header"
         else:
             images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
             if case == "idx-no-pixels":  # four 0x0 images
@@ -584,14 +592,12 @@ tau = 9
 max_iter = 33
 batch_size = 17
 pretrain.epochs = 11
-pretrain.lr = 0.003
 kmeans.restarts = 3
 """
 
 NON_DEFAULT_TRAIN_CONFIG = TrainConfig(
     method="dec", seed=7, gamma=0.5, epsilon=0.25, xi=4.0,
-    tau=9, max_iter=33, batch_size=17, pretrain_epochs=11,
-    pretrain_lr=0.003, kmeans_restarts=3,
+    tau=9, max_iter=33, batch_size=17, pretrain_epochs=11, kmeans_restarts=3,
 )
 
 
@@ -681,10 +687,9 @@ class TestTrainConfigMapping:
         assert {key: PARSERS[key] for key in TRAINING_KEYS} == {
             "method": str, "gamma": float, "epsilon": float, "xi": float,
             "tau": int, "max_iter": int, "batch_size": int,
-            "pretrain.epochs": int, "pretrain.lr": float,
-            "kmeans.restarts": int, "seed": int,
+            "pretrain.epochs": int, "kmeans.restarts": int, "seed": int,
         }
-        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 11
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 10
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -698,8 +703,8 @@ class TestTrainConfigMapping:
         defaults = TrainConfig()
         base = ExperimentConfig(settings={"epsilon": 0.5}).train
         assert base == replace(defaults, epsilon=0.5)
-        lr = ExperimentConfig(settings={"pretrain.lr": 0.5}).train
-        assert lr == replace(defaults, pretrain_lr=0.5)
+        epochs = ExperimentConfig(settings={"pretrain.epochs": 5}).train
+        assert epochs == replace(defaults, pretrain_epochs=5)
 
     @pytest.mark.parametrize("command, extra", [
         ("pretrain", ""),
@@ -759,11 +764,14 @@ class TestSetOption:
         (["finetune.momentum=0.9"], "--set:1: unknown key 'finetune.momentum'"),  # fixed at 0.9
         (["sigma=0.01"], "--set:1: unknown key 'sigma'"),  # DEC's stop threshold
         (["finetune.lr=0.01"], "--set:1: unknown key 'finetune.lr'"),  # fixed at 0.01
+        (["pretrain.lr=1.0"], "--set:1: unknown key 'pretrain.lr'"),  # fixed at 1.0
         (["gamma=high"], "--set:1: bad value for gamma: "
                          "could not convert string to float: 'high'"),
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
         (["gamma"], "--set:1: expected 'key = value', got 'gamma'"),
         (["gamma=-1"], "gamma must be >= 0, got -1.0"),
+        (["data.format=parquet"], "unknown data.format 'parquet'"),
+        (["data.images=a,b"], "2 image files vs 1 label files"),
         (["subsample.mode=bogus"], "unknown subsample mode 'bogus'"),
         (["subsample.r_min=0"], "r_min must be in (0, 1], got 0.0"),
         (["subsample.mode=single_class"], "single_class mode needs target_class"),
@@ -771,9 +779,10 @@ class TestSetOption:
         (["subsample.counts=-1,5"], "subsample counts must be >= 0, got [-1, 5]"),
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
     ], ids=["unknown-key", "alpha", "ip", "s", "pretrain-momentum", "finetune-momentum",
-            "sigma", "finetune-lr", "bad-value", "duplicate", "no-equals", "invalid",
-            "subsample-mode", "subsample-r-min", "single-class-no-target",
-            "explicit-counts-no-counts", "negative-count", "negative-subsample-seed"])
+            "sigma", "finetune-lr", "pretrain-lr", "bad-value", "duplicate", "no-equals",
+            "invalid", "unknown-format", "image-label-counts", "subsample-mode",
+            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts",
+            "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
                                                  monkeypatch, command, assignments,
                                                  message):
@@ -870,7 +879,7 @@ class TestSetOption:
         files = ["--set", f"data.images={images}", "--set", f"data.labels={labels}"]
         assert main(["pretrain", "--config", str(SHIPPED / "mnist06_imb_pretrain.cfg"),
                      "--out", str(tmp_path / "pre"), *files,
-                     "--set", "pretrain.epochs=2", "--set", "pretrain.lr=0.1"]) == 0
+                     "--set", "pretrain.epochs=2"]) == 0
         model = tmp_path / "pre" / "model.bin"
         config = SHIPPED / "mnist06_imb_rdec.cfg"
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "run"),

@@ -186,3 +186,34 @@ class TestAdversariality:
         kl_rand = per_row_kl(q_ref, model.predict(x + random_dirs))
         wins = np.mean(kl_adv >= kl_rand - 1e-15)
         assert wins >= 0.95
+
+
+class TestTwoClusterDirection:
+    @pytest.mark.parametrize("which", ["small", "trained-toy"])
+    def test_a_small_probe_follows_the_hard_label_gradient(self, rng, which):
+        # With k = 2, q is a function of one log-odds s(x), so the KL's
+        # Hessian at r = 0 (the Fisher matrix) is rank one along grad s, and
+        # so is the KL input gradient against the row's own hard label. A
+        # probe at xi = 1e-6 must land on that line, up to the sign.
+        if which == "small":
+            model = small_model(rng)
+            x = rng.standard_normal((200, 4))
+        else:
+            model, x = trained_toy_model(seed=0)
+        xi = 1e-6
+        q = model.predict(x)
+        hard = np.eye(2)[q.argmax(axis=1)]
+        g = model.kl_input_grad(x, hard)
+        norms = np.linalg.norm(g, axis=1)
+        r = adversarial_perturbation(model, x, q, 1.0, xi, np.random.default_rng(7))
+        cosine = np.abs(np.sum(r * g, axis=1)) / np.where(norms > 0, norms, 1.0)
+        # Keep rows with a gradient (not every ReLU unit off) whose ReLU units
+        # all keep their sign within xi of x: a unit's pre-activation moves by
+        # at most xi * |w_j| there. Only the first layer has ReLUs.
+        first = model.encoder.layers[0]
+        assert [layer.activation for layer in model.encoder.layers] == ["relu", "none"]
+        pre = x @ first.weight + first.bias
+        margin = xi * np.linalg.norm(first.weight, axis=0)
+        kept = (norms > 0) & np.all(np.abs(pre) > margin, axis=1)
+        assert kept.mean() >= 0.9
+        assert cosine[kept].min() >= 1 - 1e-8
