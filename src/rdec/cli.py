@@ -9,9 +9,11 @@ KEY=VALUE``: the values are parsed as further config lines (source
 ``--set``, line N for the N-th value) and replace the file's values.
 Every run directory is self-describing: it holds the command, content
 hashes of all input files and of every file it holds, and, for commands
-that read a config, a copy of it, the resolved settings (``--out`` as
-``out``) and the seed. It appears whole or not at all: its files go to a
-hidden staging directory beside it, ``manifest.json`` last, and one rename
+that read a config, a copy of it, the settings it sets (``--out`` as
+``out``), the seed, and what they resolve to: every ``TrainConfig`` field as
+``training`` and, when ``subsample.*`` keys are set, the ``SubsampleSpec``
+as ``subsample``. It appears whole or not at all: its files go to a hidden
+staging directory beside it, ``manifest.json`` last, and one rename
 publishes it. Existing run directories, ``eval --out``'s included, are
 never overwritten; a timestamp suffix is appended instead.
 
@@ -39,7 +41,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -324,13 +326,16 @@ def _write_json(path: Path, payload) -> None:
 def _write_manifest(out: Path, cfg: ExperimentConfig | None, command: str,
                     input_paths: list[Path], extra: dict) -> None:
     """Write config.txt when there is a config, then manifest.json with the
-    hash of every other file."""
+    settings as set and as resolved, and the hash of every other file."""
     manifest = {"command": command}
     if cfg is not None:
         (out / "config.txt").write_text(cfg.config_text)
         manifest["seed"] = cfg.train.seed
         manifest["config_file"] = cfg.config_path
         manifest["settings"] = {k: cfg.settings[k] for k in sorted(cfg.settings)}
+        manifest["training"] = asdict(cfg.train)
+        if cfg.subsample is not None:
+            manifest["subsample"] = asdict(cfg.subsample)
     manifest["input_sha256"] = {str(p): _sha256(p) for p in input_paths}
     manifest["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest.update(extra)
@@ -495,8 +500,7 @@ def cmd_subsample(args) -> int:
     full, kept = _select_rows(cfg, source)
     with _publish(args, cfg, source.files) as (stage, out, extra):
         source.save(kept, *(stage / name for name in source.outputs.values()))
-        extra.update(subsample=vars(cfg.subsample), class_counts_before=full.class_counts,
-                     class_counts_after=kept.class_counts,
+        extra.update(class_counts_before=full.class_counts, class_counts_after=kept.class_counts,
                      output_files={key: str(out / name) for key, name in source.outputs.items()})
     print(f"subsampled {full.n} -> {kept.n} rows; outputs in {out}")
     return 0

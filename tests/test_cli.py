@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,16 @@ def pretrained(tmp_path_factory, idx_fixture):
     return out / "model.bin"
 
 
+@pytest.fixture(scope="module")
+def unlabeled_csv(tmp_path_factory):
+    """80 rows of 4 features in two blobs of 40, with no label column."""
+    path = tmp_path_factory.mktemp("unlabeled") / "rows.csv"
+    rng = np.random.default_rng(0)
+    centers = np.repeat([[0.2, 0.2, 0.8, 0.8], [0.8, 0.8, 0.2, 0.2]], 40, axis=0)
+    save_csv(Dataset(centers + rng.normal(0.0, 0.05, size=(80, 4)), None), path)
+    return path
+
+
 class TestTrainCommand:
     def test_kmeans_needs_no_model(self, tmp_path, idx_fixture):
         cfg = write_config(tmp_path, idx_fixture, extra="\n", model="absent.bin")
@@ -144,6 +154,34 @@ class TestTrainCommand:
         assert (out / "metrics.csv").is_file()
         assert (out / "curves.csv").is_file()
         assert not (out / "embeddings.csv").exists()
+
+    @pytest.mark.parametrize("method", ["kmeans", "ae_kmeans", "dec", "rdec"])
+    def test_unlabeled_csv_trains_without_metrics(self, tmp_path, unlabeled_csv, method):
+        model = tmp_path / "pre" / "model.bin"
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"data.format = csv\ndata.path = {unlabeled_csv}\nk = 2\n"
+                       f"latent_dim = 2\nmethod = {method}\ntau = 5\nmax_iter = 20\n"
+                       f"batch_size = 16\npretrain.epochs = 2\nmodel = {model}\n")
+        if method != "kmeans":
+            assert main(["pretrain", "--config", str(cfg), "--out", str(model.parent)]) == 0
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "metrics.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["final_metrics"] is None
+        assert report["checkpoints"]
+        assert all(c["acc"] is None and c["ari"] is None for c in report["checkpoints"])
+        curves = (out / "curves.csv").read_text().splitlines()
+        assert curves[0].endswith(",acc")
+        assert all(line.endswith(",") for line in curves[1:])
+        if method == "kmeans":
+            assert not (out / "embeddings.csv").exists()
+        else:
+            emb = (out / "embeddings.csv").read_text().splitlines()
+            assert (emb[0], len(emb)) == ("z0,z1,assignment", 81)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["training"] == asdict(load_config(cfg).train)
+        assert "subsample" not in manifest
 
     def test_csv_with_byte_order_mark_and_blank_lines(self, tmp_path, idx_fixture):
         # the mark hid the label column and a blank line was a ragged row: exit 2
@@ -606,10 +644,16 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
 def test_shipped_config_spells_out_the_defaults(path):
+    # A shipped config runs at the TrainConfig defaults but for its method, gamma
+    # and seed, and restates none of them: TrainConfig alone spells them out.
     cfg = load_config(path)
     train = cfg.train
     assert train == replace(TrainConfig(), method=train.method, gamma=train.gamma,
                             seed=train.seed)
+    defaults = asdict(TrainConfig())
+    assert [key for key, value in cfg.settings.items()
+            if key in TRAINING_KEYS and key not in ("method", "seed")
+            and value == defaults[TRAINING_KEYS[key]]] == []
 
 
 SINGLE_CLASS_0 = {"mode": "single_class", "r_min": 0.1, "target_class": 0, "counts": None,
@@ -825,15 +869,21 @@ class TestSetOption:
          "class 11 absent from dataset"),
         (["subsample.counts=10,25,5"], "3 counts for 2 classes in dataset"),
         (["subsample.counts=10,61"], "class 1: requested 61 of 60 available"),
-    ], ids=["absent-class", "absent-target-class", "counts-length", "too-many-rows"])
-    def test_config_the_data_cannot_supply_exits_2(self, tmp_path, idx_fixture, capsys,
-                                                   command, assignments, message):
+        # {csv} is a CSV with no label column
+        (["data.format=csv", "data.path={csv}", "data.classes=0"],
+         "filter_classes needs a labeled dataset"),
+        (["data.format=csv", "data.path={csv}", "subsample.mode=single_class",
+          "subsample.target_class=0"], "subsample needs a labeled dataset"),
+    ], ids=["absent-class", "absent-target-class", "counts-length", "too-many-rows",
+            "unlabeled-classes", "unlabeled-subsample"])
+    def test_config_the_data_cannot_supply_exits_2(self, tmp_path, idx_fixture, unlabeled_csv,
+                                                   capsys, command, assignments, message):
         cfg = write_config(tmp_path, idx_fixture,
                            extra="subsample.mode = explicit_counts\nsubsample.counts = 10,25\n")
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "r"),
                 "--set", "method=kmeans"]
         for assignment in assignments:
-            argv += ["--set", assignment]
+            argv += ["--set", assignment.format(csv=unlabeled_csv)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
@@ -1339,6 +1389,29 @@ class TestRunDirectory:
         assert set(hashes) == {p.name for p in out.iterdir()} - {"manifest.json"}
         for name, digest in hashes.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, subsampled", [
+        ("pretrain", False), ("pretrain", True), ("train", False), ("train", True),
+        ("subsample", True),
+    ])
+    def test_manifest_records_the_resolved_settings(self, tmp_path, idx_fixture, pretrained,
+                                                    command, subsampled):
+        # BASE_CONFIG sets neither epsilon nor xi; the manifest records them all the same
+        extra = "subsample.mode = explicit_counts\nsubsample.counts = 10,25\n"
+        cfg = write_config(tmp_path, idx_fixture, model=str(pretrained),
+                           extra=extra if subsampled else "")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--set", "max_iter=3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        resolved = load_config(cfg, ["max_iter=3"])
+        assert manifest["training"] == asdict(resolved.train)
+        assert list(manifest["training"]) == [f.name for f in fields(TrainConfig)]
+        assert (manifest["training"]["xi"], manifest["training"]["max_iter"]) == (
+            TrainConfig().xi, 3)
+        assert manifest.get("subsample") == (vars(resolved.subsample) if subsampled else None)
+        # the settings stay the keys as set
+        assert "xi" not in manifest["settings"] and manifest["settings"]["max_iter"] == 3
 
 
 class TestProcessLevel:

@@ -288,6 +288,11 @@ class TestLoadIdx:
         assert (tmp_path / "img").read_bytes() == plain(img.read_bytes())
         assert (tmp_path / "lab").read_bytes() == plain(lab.read_bytes())
 
+    def test_save_needs_labels(self, rng, tmp_path):
+        with pytest.raises(ValueError, match="^save_idx needs labels$"):
+            save_idx(Dataset(rng.random((3, 4)), None), tmp_path / "img", tmp_path / "lab")
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_rejects_integer_features_other_than_bytes(self, tmp_path):
         ds = Dataset(np.full((2, 4), 7, dtype=np.int64), np.array([0, 1]))
         with pytest.raises(ValueError, match="needs features scaled to \\[0, 1\\], got int64"):

@@ -252,7 +252,9 @@ class TestLabelValues:
         ([0, -np.inf, 1], "assignments[1] is -inf, not an int64 integer"),
         ([1e20, 0, 1], "assignments[0] is 1e+20, not an int64 integer"),
         ([0, 2.0**63, 1], "assignments[1] is 9.223372036854776e+18, not an int64 integer"),
-    ], ids=["fraction", "nan", "inf", "1e20", "2**63"])
+        # a 2-D array is no label array at all
+        ([[0, 1], [1, 0]], "assignments must be 1-D, got shape (2, 2)"),
+    ], ids=["fraction", "nan", "inf", "1e20", "2**63", "2-d"])
     def test_a_label_that_is_not_an_int64_integer_raises(self, scorer, assignments, message):
         with pytest.raises(ValueError) as info:
             scorer([0, 1, 0], assignments)
