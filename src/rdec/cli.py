@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text files (``#`` starts a comment);
 unknown keys are rejected. ``SCHEMA`` holds the data and run keys, and each
-``TrainConfig`` field is one training key (``TRAINING_KEYS``). Shipped
+``TrainConfig`` field is one training key (``TRAINING_KEYS``). A config
+reads the CSV file ``data.path`` names when that key is set and non-empty,
+else the IDX pairs in ``data.images`` and ``data.labels``. Shipped
 baseline configs live in ``configs/``.
 ``pretrain``, ``train`` and ``subsample`` take a repeatable ``--set
 KEY=VALUE``: the values are parsed as further config lines (source
@@ -83,7 +85,6 @@ def _parse_str_list(text: str) -> list[str]:
 # The data and run keys with their parsers. Dotted key prefixes group
 # related settings; values are plain text after the first '='.
 SCHEMA = {
-    "data.format": str,
     "data.images": _parse_str_list,
     "data.labels": _parse_str_list,
     "data.path": str,
@@ -217,12 +218,21 @@ def _read_idx_files(images: list[str], labels: list[str], name: str) -> Dataset:
 
 
 def _data_source(cfg: ExperimentConfig, need_model: bool = False) -> DataSource:
-    """Resolve ``data.format`` into the input files and their reader/writer.
-    The files are the data's, then the model's if ``need_model``; a missing
-    one is a ``ConfigError``."""
-    fmt = cfg.require("data.format")
+    """The input files and their reader/writer: the CSV file ``data.path``
+    names when it is set and non-empty, else the IDX pairs in ``data.images``
+    and ``data.labels``. The files are the data's, then the model's if
+    ``need_model``; a missing one is a ``ConfigError``."""
     name = cfg.get("data.name", "dataset")
-    if fmt == "idx":
+    path = cfg.get("data.path")
+    if path:
+        label_column = cfg.get("data.label_column")
+        source = DataSource(
+            files=[Path(path)],
+            load=partial(load_csv, path, label_column, name=name),
+            outputs={"csv": "data.csv"},
+            save=partial(save_csv, label_column=label_column),
+        )
+    else:
         images = cfg.require("data.images")
         labels = cfg.require("data.labels")
         if len(images) != len(labels):
@@ -233,17 +243,6 @@ def _data_source(cfg: ExperimentConfig, need_model: bool = False) -> DataSource:
             outputs={"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"},
             save=save_idx,
         )
-    elif fmt == "csv":
-        path = cfg.require("data.path")
-        label_column = cfg.get("data.label_column")
-        source = DataSource(
-            files=[Path(path)],
-            load=partial(load_csv, path, label_column, name=name),
-            outputs={"csv": "data.csv"},
-            save=partial(save_csv, label_column=label_column),
-        )
-    else:
-        raise ConfigError(f"unknown data.format {fmt!r}")
     if need_model:
         source.files.append(Path(cfg.require("model")))
     missing = [str(p) for p in source.files if not p.is_file()]

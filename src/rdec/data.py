@@ -9,11 +9,11 @@ rows, each with the file line it ends on, for ``load_csv`` and for
 ``parse_int64`` reads labels exactly. Pixels are scaled to [0, 1] by
 dividing by 255; ``read_idx`` keeps bytes, so rows are selected by label
 before the one float64 copy of the kept rows, and ``save_idx`` writes bytes
-back as read. Every CSV file rdec writes goes through ``write_csv`` (``\\n``
-line ends). A malformed input file raises ``DataFormatError``: the opener
-for a cut or corrupt gzip stream (it reads each stream to its end, so a gzip
-CRC is checked past trailing bytes), ``_rows`` for text that is not UTF-8
-or a CSV cell over ``csv.field_size_limit()``, naming the line.
+back as read. Every CSV file rdec writes goes through ``write_csv`` (plain
+text, ``\\n`` line ends). A malformed input file raises ``DataFormatError``:
+the opener for a cut or corrupt gzip stream (it reads each stream to its end,
+so a gzip CRC is checked past trailing bytes), ``_rows`` for text that is not
+UTF-8 or a CSV cell over ``csv.field_size_limit()``, naming the line.
 """
 
 from __future__ import annotations
@@ -312,10 +312,9 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV: ``\\n`` line ends, cells as ``_csv_cell``
-    spells them, gzipped when the name ends in ``.gz``."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", newline="") as fh:
+    """Write a header and rows as plain-text CSV: ``\\n`` line ends, cells as
+    ``_csv_cell`` spells them."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(map(_csv_cell, header))
         writer.writerows(map(_csv_cell, row) for row in rows)

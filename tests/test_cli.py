@@ -67,7 +67,6 @@ def pretrain_lr():
 
 
 BASE_CONFIG = """
-data.format = idx
 data.images = {images}
 data.labels = {labels}
 k = 2
@@ -159,7 +158,7 @@ class TestTrainCommand:
     def test_unlabeled_csv_trains_without_metrics(self, tmp_path, unlabeled_csv, method):
         model = tmp_path / "pre" / "model.bin"
         cfg = tmp_path / "csv.cfg"
-        cfg.write_text(f"data.format = csv\ndata.path = {unlabeled_csv}\nk = 2\n"
+        cfg.write_text(f"data.path = {unlabeled_csv}\nk = 2\n"
                        f"latent_dim = 2\nmethod = {method}\ntau = 5\nmax_iter = 20\n"
                        f"batch_size = 16\npretrain.epochs = 2\nmodel = {model}\n")
         if method != "kmeans":
@@ -190,7 +189,7 @@ class TestTrainCommand:
         (tmp_path / "marked.csv").write_bytes(("\ufeff" + text + "\n").encode())
         for name in ("plain", "marked"):
             cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(f"data.format = csv\ndata.path = {tmp_path / name}.csv\n"
+            cfg.write_text(f"data.path = {tmp_path / name}.csv\n"
                            "data.label_column = label\nk = 2\nmethod = kmeans\n")
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         assert ((tmp_path / "marked" / "assignments.csv").read_bytes()
@@ -238,10 +237,8 @@ class TestTrainCommand:
         assert keys[0] in capsys.readouterr().err
         assert not out.exists()
 
-    # an empty model or data.path read as the working directory ("input files not
-    # found: ."), an empty data.format as an unknown format
-    @pytest.mark.parametrize("assignments", [("model=",), ("data.format=",),
-                                             ("data.format=csv", "data.path=")])
+    # an empty model read as the working directory ("input files not found: .")
+    @pytest.mark.parametrize("assignments", [("model=",)])
     def test_empty_key_exits_2(self, tmp_path, idx_fixture, capsys, assignments):
         cfg = write_config(tmp_path, idx_fixture)
         out = tmp_path / "r"
@@ -441,7 +438,7 @@ class TestTrainCommand:
             path.write_text(f"a,label\n1.0,0\n{last_row}\n")
             message = f"{path}:3: {message}"
             cfg = tmp_path / "csv.cfg"
-            cfg.write_text(f"data.format = csv\ndata.path = {path}\n"
+            cfg.write_text(f"data.path = {path}\n"
                            "data.label_column = label\nk = 2\n")
         cfg.write_text(cfg.read_text() + "subsample.mode = interpolated\n")
         assert main([command, "--config", str(cfg), "--set", "method=kmeans",
@@ -462,7 +459,7 @@ class TestTrainCommand:
                 path.write_text("a,label\n")
                 message = f"{path}: no data rows"
             cfg = tmp_path / "csv.cfg"
-            cfg.write_text(f"data.format = csv\ndata.path = {path}\n"
+            cfg.write_text(f"data.path = {path}\n"
                            "data.label_column = label\nk = 2\n")
         else:
             images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
@@ -698,6 +695,25 @@ def test_shipped_config_resolves_its_subsample_spec(path):
     assert (None if spec is None else vars(spec)) == expected
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_reads_its_idx_files(path, tmp_path, monkeypatch):
+    # The files are named relative to the working directory; empty ones stand in.
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(path)
+    images, labels = cfg.settings["data.images"], cfg.settings["data.labels"]
+    for name in images + labels:
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).touch()
+    source = cli._data_source(cfg)
+    assert source.files == [Path(name) for name in images + labels]
+    assert source.outputs == {"images": "images-idx3-ubyte", "labels": "labels-idx1-ubyte"}
+    assert source.save is save_idx
+    assert (source.load.func, source.load.args) == (
+        cli._read_idx_files, (images, labels, cfg.settings["data.name"]))
+    # an empty data.path is unset: the IDX pairs are still read
+    assert cli._data_source(load_config(path, ["data.path="])).files == source.files
+
+
 def test_every_subsample_key_lands_on_its_field(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text("subsample.mode = explicit_counts\nsubsample.r_min = 0.5\n"
@@ -733,7 +749,7 @@ class TestTrainConfigMapping:
             "tau": int, "max_iter": int, "batch_size": int,
             "pretrain.epochs": int, "kmeans.restarts": int, "seed": int,
         }
-        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 16 + 10
+        assert len(PARSERS) == len(SCHEMA) + len(TRAINING_KEYS) == 15 + 10
 
     def test_empty_config_gives_the_defaults(self, tmp_path):
         assert ExperimentConfig().train == TrainConfig()
@@ -814,7 +830,10 @@ class TestSetOption:
         (["seed=9", "tau=5", "seed=10"], "--set:3: duplicate key 'seed'"),
         (["gamma"], "--set:1: expected 'key = value', got 'gamma'"),
         (["gamma=-1"], "gamma must be >= 0, got -1.0"),
-        (["data.format=parquet"], "unknown data.format 'parquet'"),
+        # data.path, set and non-empty, chooses CSV, else the IDX keys are read
+        (["data.format=parquet"], "--set:1: unknown key 'data.format'"),
+        (["data.format=csv"], "--set:1: unknown key 'data.format'"),
+        (["data.format="], "--set:1: unknown key 'data.format'"),
         (["data.images=a,b"], "2 image files vs 1 label files"),
         (["subsample.mode=bogus"], "unknown subsample mode 'bogus'"),
         (["subsample.r_min=0"], "r_min must be in (0, 1], got 0.0"),
@@ -824,9 +843,9 @@ class TestSetOption:
         (["subsample.seed=-1"], "subsample seed must be >= 0, got -1"),
     ], ids=["unknown-key", "alpha", "ip", "s", "pretrain-momentum", "finetune-momentum",
             "sigma", "finetune-lr", "pretrain-lr", "bad-value", "duplicate", "no-equals",
-            "invalid", "unknown-format", "image-label-counts", "subsample-mode",
-            "subsample-r-min", "single-class-no-target", "explicit-counts-no-counts",
-            "negative-count", "negative-subsample-seed"])
+            "invalid", "unknown-format", "format-csv", "format-empty", "image-label-counts",
+            "subsample-mode", "subsample-r-min", "single-class-no-target",
+            "explicit-counts-no-counts", "negative-count", "negative-subsample-seed"])
     def test_error_exits_2_before_the_data_loads(self, tmp_path, idx_fixture, capsys,
                                                  monkeypatch, command, assignments,
                                                  message):
@@ -870,9 +889,9 @@ class TestSetOption:
         (["subsample.counts=10,25,5"], "3 counts for 2 classes in dataset"),
         (["subsample.counts=10,61"], "class 1: requested 61 of 60 available"),
         # {csv} is a CSV with no label column
-        (["data.format=csv", "data.path={csv}", "data.classes=0"],
+        (["data.path={csv}", "data.classes=0"],
          "filter_classes needs a labeled dataset"),
-        (["data.format=csv", "data.path={csv}", "subsample.mode=single_class",
+        (["data.path={csv}", "subsample.mode=single_class",
           "subsample.target_class=0"], "subsample needs a labeled dataset"),
     ], ids=["absent-class", "absent-target-class", "counts-length", "too-many-rows",
             "unlabeled-classes", "unlabeled-subsample"])
@@ -949,6 +968,25 @@ class TestSetOption:
                     "out": str(run)}
         assert manifest["settings"] == {key: expected[key] for key in sorted(expected)}
         assert sorted(manifest["input_sha256"]) == sorted(map(str, (images, labels, model)))
+
+    def test_data_path_alone_switches_a_shipped_config_to_csv(self, tmp_path, idx_fixture):
+        # The IDX pair and a CSV file of the same rows give the same assignments.
+        csv = tmp_path / "rows.csv"
+        save_csv(load_idx(*idx_fixture), csv)
+        config = SHIPPED / "mnist_kmeans.cfg"
+        source = cli._data_source(load_config(config, [f"data.path={csv}"]))
+        assert (source.files, source.outputs) == ([csv], {"csv": "data.csv"})
+        common = ["train", "--config", str(config), "--set", "k=2",
+                  "--set", "kmeans.restarts=1"]
+        img, lab = idx_fixture
+        assert main([*common, "--set", f"data.images={img}", "--set", f"data.labels={lab}",
+                     "--out", str(tmp_path / "idx")]) == 0
+        assert main([*common, "--set", f"data.path={csv}", "--set", "data.label_column=label",
+                     "--out", str(tmp_path / "csv")]) == 0
+        manifest = json.loads((tmp_path / "csv" / "manifest.json").read_text())
+        assert list(manifest["input_sha256"]) == [str(csv)]
+        assert ((tmp_path / "csv" / "assignments.csv").read_bytes()
+                == (tmp_path / "idx" / "assignments.csv").read_bytes())
 
 
 class TestEvalCommand:
@@ -1129,7 +1167,7 @@ class TestSubsampleCommand:
     def test_csv_output_keeps_the_label_column(self, tmp_path, idx_fixture):
         # the same data.label_column must read the input and the subsampled file
         save_csv(load_idx(*idx_fixture), tmp_path / "in.csv", label_column="cls")
-        common = "data.format = csv\ndata.label_column = cls\nk = 2\nmethod = kmeans\n"
+        common = "data.label_column = cls\nk = 2\nmethod = kmeans\n"
         sub_cfg = tmp_path / "sub.cfg"
         sub_cfg.write_text(common + f"data.path = {tmp_path / 'in.csv'}\n"
                            "subsample.mode = single_class\nsubsample.r_min = 0.5\n"
@@ -1147,7 +1185,7 @@ class TestSubsampleCommand:
         original = load_idx(*idx_fixture)
         save_csv(original, tmp_path / "in.csv", label_column="cls")
         cfg = tmp_path / "sub.cfg"
-        cfg.write_text("data.format = csv\ndata.label_column = cls\n"
+        cfg.write_text("data.label_column = cls\n"
                        f"data.path = {tmp_path / 'in.csv'}\nsubsample.mode = single_class\n"
                        "subsample.r_min = 0.5\nsubsample.target_class = 0\n"
                        "subsample.seed = 3\n")
@@ -1172,7 +1210,7 @@ class TestSubsampleCommand:
         images.write_bytes(struct.pack(">iiii", 0x803, 20, 4, 6) + pixels.tobytes())
         labels.write_bytes(struct.pack(">ii", 0x801, 20) + bytes([0, 1] * 10))
         cfg = tmp_path / "sub.cfg"
-        cfg.write_text(f"data.format = idx\ndata.images = {images}\ndata.labels = {labels}\n"
+        cfg.write_text(f"data.images = {images}\ndata.labels = {labels}\n"
                        "subsample.mode = explicit_counts\nsubsample.counts = 3,10\n")
         out = tmp_path / "sub"
         assert main(["subsample", "--config", str(cfg), "--out", str(out)]) == 0
@@ -1202,7 +1240,7 @@ class TestSubsampleCommand:
             "interpolated": "subsample.r_min = 0.2\n",
         }[mode]
         cfg = tmp_path / "sub.cfg"
-        cfg.write_text(f"data.format = idx\ndata.images = {images}\n"
+        cfg.write_text(f"data.images = {images}\n"
                        f"data.labels = {label_file}\nsubsample.mode = {mode}\n"
                        f"subsample.seed = 7\n{settings}"
                        + (f"data.classes = {','.join(map(str, classes))}\n" if classes else ""))
@@ -1254,7 +1292,7 @@ class TestDataPathMemory:
     def test_one_float_copy_of_the_kept_rows(self, tmp_path, two_files, settings):
         (train_images, train_labels), (test_images, test_labels) = two_files
         cfg_path = tmp_path / "mem.cfg"
-        cfg_path.write_text(f"data.format = idx\ndata.name = mem\n"
+        cfg_path.write_text(f"data.name = mem\n"
                             f"data.images = {train_images},{test_images}\n"
                             f"data.labels = {train_labels},{test_labels}\n"
                             f"data.classes = 0,1,2\nsubsample.seed = 3\n{settings}")
@@ -1283,7 +1321,7 @@ class TestDataPathMemory:
                                                                   two_files):
         (train_images, train_labels), (test_images, test_labels) = two_files
         cfg_path = tmp_path / "sub.cfg"
-        cfg_path.write_text(f"data.format = idx\ndata.images = {train_images},{test_images}\n"
+        cfg_path.write_text(f"data.images = {train_images},{test_images}\n"
                             f"data.labels = {train_labels},{test_labels}\n"
                             "subsample.mode = single_class\nsubsample.target_class = 0\n"
                             "subsample.r_min = 0.1\nsubsample.seed = 3\n")
